@@ -306,7 +306,7 @@ int main(int argc, char** argv) {
       const double boundary =
           static_cast<double>(graph::count_boundary_half_edges(g, plan)) /
           static_cast<double>(g.num_half_edges());
-      const std::string variant = "s" + std::to_string(shards);
+      const std::string variant = std::string{"s"}.append(std::to_string(shards));
       const PairTiming t = time_shard_pair(g, g, plan, nullptr, sources, steps, rounds,
                                            prefix, variant);
       rows.push_back({spec.name, class_name(spec.paper_mixing_class), variant, shards,

@@ -153,7 +153,9 @@ const std::vector<DatasetSpec>& table1_datasets() {
 std::optional<DatasetSpec> find_dataset(const std::string& name) {
   const std::string wanted = util::to_lower(name);
   for (const DatasetSpec& spec : table1_datasets()) {
-    if (util::to_lower(spec.name) == wanted) return spec;
+    if (util::to_lower(spec.name) == wanted || util::slugify(spec.name) == wanted) {
+      return spec;
+    }
   }
   return std::nullopt;
 }

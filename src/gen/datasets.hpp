@@ -68,7 +68,8 @@ struct DatasetSpec {
 /// All 15 Table-1 dataset stand-ins, in the paper's row order.
 [[nodiscard]] const std::vector<DatasetSpec>& table1_datasets();
 
-/// Looks a spec up by (case-insensitive) name; nullopt if unknown.
+/// Looks a spec up by (case-insensitive) name or by its util::slugify form
+/// ("livejournal-a" for "Livejournal A"); nullopt if unknown.
 [[nodiscard]] std::optional<DatasetSpec> find_dataset(const std::string& name);
 
 /// Builds a stand-in at `nodes` vertices (0 = spec.default_nodes). The

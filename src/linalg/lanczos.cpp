@@ -1,9 +1,94 @@
 #include "linalg/lanczos.hpp"
 
-// Explicit instantiation for the common unweighted operator keeps its code
-// out of every including translation unit.
+#include <array>
+
+#include "util/parallel.hpp"
 
 namespace socmix::linalg {
+
+namespace detail {
+
+namespace {
+
+/// Independent accumulators per dot product: enough to break the serial
+/// add chain so the loop vectorizes without reassociating (no fast-math),
+/// reduced by a fixed tree so the result does not depend on the caller.
+constexpr std::size_t kLanes = 8;
+
+double block_dot(const double* a, const double* b, std::size_t len) noexcept {
+  std::array<double, kLanes> acc{};
+  std::size_t i = 0;
+  for (; i + kLanes <= len; i += kLanes) {
+    for (std::size_t l = 0; l < kLanes; ++l) acc[l] += a[i + l] * b[i + l];
+  }
+  double tail = 0.0;
+  for (; i < len; ++i) tail += a[i] * b[i];
+  return ((acc[0] + acc[4]) + (acc[1] + acc[5])) + ((acc[2] + acc[6]) + (acc[3] + acc[7])) +
+         tail;
+}
+
+/// One classical Gram–Schmidt pass: w -= Q (Q^T w) over the k columns of
+/// the column-major `q`. Returns (||w||^2 before, ||w||^2 after).
+std::array<double, 2> cgs_pass(std::span<double> w, std::span<const double> q,
+                               std::size_t k) {
+  const std::size_t n = w.size();
+  const std::size_t blocks = (n + kReorthBlockRows - 1) / kReorthBlockRows;
+  // Slot b holds block b's k coefficient partials, then its ||w||^2 partial.
+  const std::size_t stride = k + 1;
+  std::vector<double> partial(blocks * stride);
+
+  util::parallel_for(0, blocks, 1, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t b = lo; b < hi; ++b) {
+      const std::size_t r0 = b * kReorthBlockRows;
+      const std::size_t len = std::min(kReorthBlockRows, n - r0);
+      const double* wb = w.data() + r0;
+      double* slot = partial.data() + b * stride;
+      for (std::size_t j = 0; j < k; ++j) slot[j] = block_dot(q.data() + j * n + r0, wb, len);
+      slot[k] = block_dot(wb, wb, len);
+    }
+  });
+  std::vector<double> h(stride, 0.0);
+  for (std::size_t b = 0; b < blocks; ++b) {
+    for (std::size_t j = 0; j < stride; ++j) h[j] += partial[b * stride + j];
+  }
+
+  std::vector<double> after_partial(blocks);
+  util::parallel_for(0, blocks, 1, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t b = lo; b < hi; ++b) {
+      const std::size_t r0 = b * kReorthBlockRows;
+      const std::size_t len = std::min(kReorthBlockRows, n - r0);
+      double* wb = w.data() + r0;
+      for (std::size_t j = 0; j < k; ++j) {
+        const double* qb = q.data() + j * n + r0;
+        const double hj = h[j];
+        for (std::size_t i = 0; i < len; ++i) wb[i] -= hj * qb[i];
+      }
+      after_partial[b] = block_dot(wb, wb, len);
+    }
+  });
+  double after = 0.0;
+  for (const double p : after_partial) after += p;
+  return {h[k], after};
+}
+
+}  // namespace
+
+bool reorthogonalize(std::span<double> w, std::span<const double> basis) {
+  const std::size_t n = w.size();
+  if (n == 0) return false;
+  const std::size_t k = basis.size() / n;
+  const auto [before, after] = cgs_pass(w, basis, k);
+  // DGKS: ||w_after|| < ||w_before|| / sqrt(2) means the pass cancelled
+  // enough that rounding in Q^T w may have left w visibly non-orthogonal.
+  if (!(after < 0.5 * before)) return false;
+  cgs_pass(w, basis, k);
+  return true;
+}
+
+}  // namespace detail
+
+// Explicit instantiation for the common unweighted operator keeps its code
+// out of every including translation unit.
 
 template SpectrumResult slem_spectrum<WalkOperator>(const WalkOperator&,
                                                     const LanczosOptions&);

@@ -5,12 +5,20 @@
 // lambda_2 (second largest) and lambda_min — from which the paper's SLEM is
 //     mu = max(lambda_2, |lambda_min|).
 //
-// The known top eigenpair (1, D^{1/2} 1) is deflated analytically: every
-// Lanczos vector is kept orthogonal to it, so the *largest* Ritz value of
-// the deflated operator is exactly lambda_2. Full reorthogonalization
-// (modified Gram-Schmidt against all previous basis vectors, twice) keeps
-// the basis orthonormal at the cost of O(k^2 n) work — the right trade for
-// the modest subspace sizes (<= a few hundred) these spectra need.
+// The known top eigenpair (1, D^{1/2} 1) is deflated analytically: it is
+// column 0 of the basis, so every Lanczos vector is kept orthogonal to it
+// and the *largest* Ritz value of the deflated operator is exactly
+// lambda_2.
+//
+// Full reorthogonalization is blocked classical Gram–Schmidt over one
+// contiguous column-major basis (detail::reorthogonalize): h = Q^T w, then
+// w -= Q h, each a sweep over fixed 4096-row blocks on the thread pool. A
+// second pass runs only when the first cancelled most of w (the DGKS test
+// ARPACK uses: ||w_after|| < ||w_before|| / sqrt(2)). The blocks do not
+// depend on the thread count and their partial sums are reduced in block
+// order, so every result bit is the same at any thread count. The work is
+// O(k^2 n) — the right trade for the modest subspace sizes (<= a few
+// hundred) these spectra need.
 //
 // The solver is generic over any operator satisfying WalkLikeOperator
 // (unweighted WalkOperator, weighted WeightedWalkOperator, ...).
@@ -22,6 +30,7 @@
 #include <cstdint>
 #include <span>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "linalg/tridiag.hpp"
@@ -75,19 +84,23 @@ struct SpectrumResult {
 
 namespace detail {
 
-/// Orthogonalize v against the deflation direction and the whole basis,
-/// twice ("twice is enough" — Kahan/Parlett) for numerical orthogonality.
-inline void full_reorthogonalize(std::span<double> v, std::span<const double> deflate,
-                                 const std::vector<std::vector<double>>& basis) {
-  for (int pass = 0; pass < 2; ++pass) {
-    orthogonalize_against(v, deflate);
-    for (const auto& q : basis) orthogonalize_against(v, q);
-  }
-}
+/// Rows per block of the reorthogonalization sweeps. Fixed, so that the
+/// per-block partial sums — and with them every output bit — do not depend
+/// on the thread count.
+inline constexpr std::size_t kReorthBlockRows = 4096;
 
+/// Orthogonalizes w against the k = basis.size() / w.size() orthonormal
+/// columns of the column-major `basis` by blocked classical Gram–Schmidt,
+/// with a second pass when the first left less than 1/sqrt(2) of ||w||
+/// (DGKS). Returns whether the second pass ran. Bit-identical at any
+/// thread count.
+bool reorthogonalize(std::span<double> w, std::span<const double> basis);
+
+/// Runs the solver. When `basis_out` is given it receives the final
+/// column-major basis (column 0 the deflation vector), for tests.
 template <WalkLikeOperator Op>
 SpectrumResult run_lanczos(const Op& op, const LanczosOptions& options,
-                           bool want_vector) {
+                           bool want_vector, std::vector<double>* basis_out = nullptr) {
   SOCMIX_TRACE_SPAN("lanczos.solve");
   SOCMIX_COUNTER_ADD("linalg.lanczos.solves", 1);
   const std::size_t n = op.dim();
@@ -99,24 +112,39 @@ SpectrumResult run_lanczos(const Op& op, const LanczosOptions& options,
     return result;
   }
 
-  const std::vector<double> deflate = op.top_eigenvector();
   const std::size_t max_iter = std::min(options.max_iterations, n);
 
-  std::vector<std::vector<double>> basis;
-  basis.reserve(max_iter);
+  // Column 0 is the deflation vector, column i + 1 the i-th Lanczos vector.
+  // Reserved up front but grown one column per step, so only the columns
+  // in use are ever touched.
+  std::vector<double> basis;
+  basis.reserve((max_iter + 1) * n);
+  {
+    const std::vector<double> deflate = op.top_eigenvector();
+    basis.insert(basis.end(), deflate.begin(), deflate.end());
+  }
+  const auto column = [&basis, n](std::size_t j) {
+    return std::span<const double>{basis.data() + j * n, n};
+  };
   std::vector<double> alpha;
   std::vector<double> beta;  // beta[i] couples Lanczos steps i and i+1
 
   util::Rng rng{options.seed};
   std::vector<double> v(n);
   randomize_unit(v, rng);
-  full_reorthogonalize(v, deflate, basis);
+  reorthogonalize(v, basis);
   if (normalize2(v) == 0.0) {
     throw std::runtime_error{"lanczos: start vector vanished under deflation"};
   }
 
   std::vector<double> w(n);
   TridiagEigen eig;
+  const auto solve_tridiag = [&] {
+    SOCMIX_TRACE_SPAN("lanczos.tridiag");
+    const std::size_t k = alpha.size();
+    eig = tridiag_eigen(alpha, std::span<const double>{beta.data(), k - 1},
+                        /*want_vectors=*/true);
+  };
 
   // Residual bounds for the extremal Ritz pairs: |beta_next * s_{k-1,j}|,
   // where s is the tridiagonal eigenvector and beta_next the just-computed
@@ -124,8 +152,7 @@ SpectrumResult run_lanczos(const Op& op, const LanczosOptions& options,
   const auto extremal_residuals_ok = [&](double beta_next) -> bool {
     const std::size_t k = alpha.size();
     if (k < 2) return false;
-    eig = tridiag_eigen(alpha, std::span<const double>{beta.data(), k - 1},
-                        /*want_vectors=*/true);
+    solve_tridiag();
     const double res_top = std::fabs(beta_next * eig.vectors[(k - 1) * k + (k - 1)]);
     const double res_bot = std::fabs(beta_next * eig.vectors[0 * k + (k - 1)]);
     SOCMIX_GAUGE_SET("linalg.lanczos.residual_top", res_top);
@@ -138,11 +165,19 @@ SpectrumResult run_lanczos(const Op& op, const LanczosOptions& options,
     op.apply(v, w);
     const double a = dot(w, v);
     alpha.push_back(a);
-    basis.push_back(v);  // copy: v is also the "previous" vector for w
+    basis.insert(basis.end(), v.begin(), v.end());
     const std::size_t k = alpha.size();
 
+    // Three-term recurrence first, so reorthogonalization only removes
+    // rounding-level components and its DGKS second pass stays rare.
     axpy(-a, v, w);
-    full_reorthogonalize(w, deflate, basis);
+    if (k > 1) axpy(-beta.back(), column(k - 1), w);
+    {
+      SOCMIX_TRACE_SPAN("lanczos.reorth");
+      if (reorthogonalize(w, basis)) {
+        SOCMIX_COUNTER_ADD("linalg.lanczos.reorth_second_pass", 1);
+      }
+    }
     const double b = norm2(w);
 
     const bool exhausted = b <= 1e-14;  // invariant subspace reached: exact
@@ -159,10 +194,7 @@ SpectrumResult run_lanczos(const Op& op, const LanczosOptions& options,
   }
 
   const std::size_t dim = alpha.size();
-  if (eig.values.size() != dim) {
-    eig = tridiag_eigen(alpha, std::span<const double>{beta.data(), dim - 1},
-                        /*want_vectors=*/true);
-  }
+  if (eig.values.size() != dim) solve_tridiag();
 
   result.iterations = dim;
   result.converged = converged;
@@ -182,9 +214,10 @@ SpectrumResult run_lanczos(const Op& op, const LanczosOptions& options,
     const std::size_t m = eig.values.size();
     std::span<const double> s{eig.vectors.data() + (m - 1) * m, m};
     result.lambda2_vector.assign(n, 0.0);
-    for (std::size_t i = 0; i < m; ++i) axpy(s[i], basis[i], result.lambda2_vector);
+    for (std::size_t i = 0; i < m; ++i) axpy(s[i], column(i + 1), result.lambda2_vector);
     normalize2(result.lambda2_vector);
   }
+  if (basis_out != nullptr) *basis_out = std::move(basis);
   return result;
 }
 

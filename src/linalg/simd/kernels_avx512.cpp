@@ -39,18 +39,24 @@ inline vd vd_select_ge_abs(vd s, vd t, vd x, vd y) noexcept {
   const __mmask8 m = _mm512_cmp_pd_mask(vd_abs(s), vd_abs(t), _CMP_GE_OQ);
   return _mm512_mask_blend_pd(m, y, x);
 }
+// Conversions and the gather use their masked forms under an all-lanes
+// mask: the same instructions and bits as the unmasked intrinsics, whose
+// GCC 12 headers pass an undefined vector as the merge source and so trip
+// -Wmaybe-uninitialized.
+constexpr __mmask8 kAllLanes = 0xFF;
 inline vd vd_cvt_f32_loadu(const float* p) noexcept {
-  return _mm512_cvtps_pd(_mm256_loadu_ps(p));
+  return _mm512_maskz_cvtps_pd(kAllLanes, _mm256_loadu_ps(p));
 }
 inline vd vd_roundtrip_store_f32(float* p, vd v) noexcept {
-  const __m256 f = _mm512_cvtpd_ps(v);
+  const __m256 f = _mm512_maskz_cvtpd_ps(kAllLanes, v);
   _mm256_storeu_ps(p, f);
-  return _mm512_cvtps_pd(f);
+  return _mm512_maskz_cvtps_pd(kAllLanes, f);
 }
 // i32 gather: sign-extends the u32 node ids, so it requires
 // num_nodes < 2^31 (see kernels.hpp).
 inline vd vd_gather_i32(const double* base, const graph::NodeId* idx) noexcept {
-  return _mm512_i32gather_pd(
+  return _mm512_mask_i32gather_pd(
+      _mm512_setzero_pd(), kAllLanes,
       _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx)), base, 8);
 }
 

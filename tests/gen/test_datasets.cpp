@@ -7,6 +7,7 @@
 #include "graph/components.hpp"
 #include "graph/stats.hpp"
 #include "linalg/lanczos.hpp"
+#include "util/string_util.hpp"
 
 namespace socmix::gen {
 namespace {
@@ -20,6 +21,18 @@ TEST(Datasets, FindByNameCaseInsensitive) {
   EXPECT_TRUE(find_dataset("physics 1").has_value());
   EXPECT_TRUE(find_dataset("WIKI-VOTE").has_value());
   EXPECT_FALSE(find_dataset("MySpace").has_value());
+}
+
+TEST(Datasets, FindBySlug) {
+  EXPECT_EQ(find_dataset("livejournal-a")->name, "Livejournal A");
+  EXPECT_EQ(find_dataset("Physics-1")->name, "Physics 1");
+  EXPECT_FALSE(find_dataset("livejournal-c").has_value());
+  // Every row is reachable by its slug, and slugs name distinct rows.
+  for (const DatasetSpec& spec : table1_datasets()) {
+    const auto found = find_dataset(util::slugify(spec.name));
+    ASSERT_TRUE(found.has_value()) << spec.name;
+    EXPECT_EQ(found->name, spec.name);
+  }
 }
 
 TEST(Datasets, SpecsAreSane) {

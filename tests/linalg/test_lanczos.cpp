@@ -2,15 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
+#include <utility>
+#include <vector>
 
 #include "gen/barabasi_albert.hpp"
 #include "gen/erdos_renyi.hpp"
 #include "gen/reference.hpp"
 #include "graph/components.hpp"
+#include "graph/edge_list.hpp"
 #include "linalg/dense.hpp"
 #include "linalg/vector_ops.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace socmix::linalg {
@@ -162,6 +167,107 @@ TEST(Lanczos, IterationCapRespected) {
   opt.max_iterations = 10;
   const auto s = slem_spectrum(WalkOperator{g}, opt);
   EXPECT_LE(s.iterations, 10u);
+}
+
+TEST(Lanczos, BitIdenticalAcrossThreadCounts) {
+  // The reorthogonalization sweeps split the rows into fixed blocks and
+  // reduce their partial sums in block order, so the thread count must not
+  // move a single bit. The graph spans several blocks, the last one ragged.
+  util::Rng rng{4};
+  const auto g = graph::largest_component(gen::erdos_renyi_gnm(9500, 38000, rng)).graph;
+  const WalkOperator op{g};
+  ASSERT_GT(op.dim(), 2 * detail::kReorthBlockRows);
+  ASSERT_NE(op.dim() % detail::kReorthBlockRows, 0u);
+
+  util::set_thread_count(1);
+  const auto serial = slem_spectrum_with_vector(op);
+  for (const std::size_t threads : {2u, 3u, 4u}) {
+    util::set_thread_count(threads);
+    const auto s = slem_spectrum_with_vector(op);
+    EXPECT_EQ(s.slem, serial.slem) << threads;
+    EXPECT_EQ(s.lambda2, serial.lambda2) << threads;
+    EXPECT_EQ(s.lambda_min, serial.lambda_min) << threads;
+    EXPECT_EQ(s.iterations, serial.iterations) << threads;
+    EXPECT_EQ(s.lambda2_vector, serial.lambda2_vector) << threads;
+  }
+  util::set_thread_count(0);
+}
+
+/// max |Q^T Q - I| over the k columns of the column-major n-row basis q.
+double orthogonality_error(const std::vector<double>& q, std::size_t n) {
+  const std::size_t k = q.size() / n;
+  double worst = 0.0;
+  for (std::size_t i = 0; i < k; ++i) {
+    for (std::size_t j = 0; j <= i; ++j) {
+      const double qij = dot(std::span<const double>{q.data() + i * n, n},
+                             std::span<const double>{q.data() + j * n, n});
+      worst = std::max(worst, std::fabs(qij - (i == j ? 1.0 : 0.0)));
+    }
+  }
+  return worst;
+}
+
+/// Two random halves joined by one bridge: slow mixing like gen::dumbbell,
+/// but with a spread spectrum, so Lanczos runs long enough for plain
+/// three-term recurrence to lose orthogonality.
+graph::Graph random_dumbbell(graph::NodeId half, std::uint64_t edges_per_half,
+                             std::uint64_t seed) {
+  util::Rng rng{seed};
+  graph::EdgeList edges{2 * half};
+  for (graph::NodeId offset : {graph::NodeId{0}, half}) {
+    for (std::uint64_t e = 0; e < edges_per_half; ++e) {
+      edges.add(offset + static_cast<graph::NodeId>(rng.below(half)),
+                offset + static_cast<graph::NodeId>(rng.below(half)));
+    }
+  }
+  edges.add(0, half);
+  return graph::largest_component(graph::Graph::from_edges(std::move(edges))).graph;
+}
+
+TEST(LanczosReorthogonalize, BasisStaysOrthonormalOnSlowMixingDumbbell) {
+  const graph::Graph g = random_dumbbell(400, 1600, 3);
+  const WalkOperator op{g};
+  std::vector<double> basis;
+  const auto s = detail::run_lanczos(op, {}, /*want_vector=*/false, &basis);
+  ASSERT_TRUE(s.converged);
+  ASSERT_EQ(basis.size(), (s.iterations + 1) * op.dim());  // + deflation column
+  EXPECT_LE(orthogonality_error(basis, op.dim()), 1e-12);
+}
+
+TEST(LanczosReorthogonalize, HeavyCancellationTriggersSecondPass) {
+  // Six orthonormal columns over several row blocks, and an input 99% of
+  // whose norm lies in their span: one pass cancels almost all of it.
+  constexpr std::size_t n = 3 * detail::kReorthBlockRows + 123;
+  constexpr std::size_t k = 6;
+  util::Rng rng{11};
+  std::vector<double> q(k * n);
+  for (std::size_t j = 0; j < k; ++j) {
+    std::span<double> col{q.data() + j * n, n};
+    randomize_unit(col, rng);
+    for (int pass = 0; pass < 2; ++pass) {
+      for (std::size_t i = 0; i < j; ++i) {
+        orthogonalize_against(col, std::span<const double>{q.data() + i * n, n});
+      }
+    }
+    normalize2(col);
+  }
+  std::vector<double> w(n);
+  randomize_unit(w, rng);
+  scale(w, 0.01);
+  for (std::size_t j = 0; j < k; ++j) {
+    axpy(0.99 / std::sqrt(static_cast<double>(k)),
+         std::span<const double>{q.data() + j * n, n}, w);
+  }
+
+  EXPECT_TRUE(detail::reorthogonalize(w, q));
+  const double norm = norm2(w);
+  for (std::size_t j = 0; j < k; ++j) {
+    EXPECT_LE(std::fabs(dot(std::span<const double>{q.data() + j * n, n}, w)) / norm,
+              1e-14)
+        << j;
+  }
+  // Already orthogonal: one pass removes nothing and the test passes.
+  EXPECT_FALSE(detail::reorthogonalize(w, q));
 }
 
 }  // namespace

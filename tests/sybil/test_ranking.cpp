@@ -78,7 +78,7 @@ TEST(EvaluateRanking, ConstantScoresAreChance) {
 
 TEST(EvaluateRanking, SizeMismatchThrows) {
   const auto attacked = attacked_expander(5, 5);
-  EXPECT_THROW(evaluate_ranking(attacked, std::vector<double>(3, 0.0)),
+  EXPECT_THROW((void)evaluate_ranking(attacked, std::vector<double>(3, 0.0)),
                std::invalid_argument);
 }
 

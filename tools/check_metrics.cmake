@@ -74,7 +74,7 @@ file(READ "${trace_file}" trace)
 if(NOT trace MATCHES "^\\{\"displayTimeUnit\":\"ms\",\"traceEvents\":\\[")
   message(FATAL_ERROR "trace JSON has unexpected shape")
 endif()
-foreach(span "measure_mixing" "phase.spectral" "phase.sampled" "evolve_block")
+foreach(span "measure_mixing" "phase.spectral" "lanczos.reorth" "phase.sampled" "evolve_block")
   if(NOT trace MATCHES "\"name\":\"${span}\"")
     message(FATAL_ERROR "trace JSON is missing span '${span}'")
   endif()
