@@ -1,5 +1,6 @@
 #include "linalg/lanczos.hpp"
 
+#include <algorithm>
 #include <array>
 
 #include "util/parallel.hpp"
@@ -83,6 +84,48 @@ bool reorthogonalize(std::span<double> w, std::span<const double> basis) {
   if (!(after < 0.5 * before)) return false;
   cgs_pass(w, basis, k);
   return true;
+}
+
+void rotate_basis(std::span<double> q, std::size_t n, std::span<const double> y,
+                  std::size_t k) {
+  if (n == 0 || k == 0) return;
+  const std::size_t m = q.size() / n;
+  const std::size_t blocks = (n + kRotateBlockRows - 1) / kRotateBlockRows;
+  util::parallel_for(0, blocks, 1, [&](std::size_t lo, std::size_t hi) {
+    std::vector<double> rotated(k * kRotateBlockRows);
+    for (std::size_t b = lo; b < hi; ++b) {
+      const std::size_t r0 = b * kRotateBlockRows;
+      const std::size_t len = std::min(kRotateBlockRows, n - r0);
+      for (std::size_t i = 0; i < k; ++i) {
+        double* t = rotated.data() + i * kRotateBlockRows;
+        const double* yi = y.data() + i * m;
+        for (std::size_t r = 0; r < len; ++r) t[r] = yi[0] * q[r0 + r];
+        for (std::size_t j = 1; j < m; ++j) {
+          const double yij = yi[j];
+          const double* qj = q.data() + j * n + r0;
+          for (std::size_t r = 0; r < len; ++r) t[r] += yij * qj[r];
+        }
+      }
+      for (std::size_t i = 0; i < k; ++i) {
+        const double* t = rotated.data() + i * kRotateBlockRows;
+        std::copy(t, t + len, q.data() + i * n + r0);
+      }
+    }
+  });
+}
+
+TridiagEigen projected_eigen(std::span<const double> alpha, std::span<const double> arrow,
+                             std::span<const double> beta) {
+  const std::size_t m = alpha.size();
+  const std::size_t kept = arrow.size();
+  if (kept == 0) return tridiag_eigen(alpha, beta.first(m - 1), /*want_vectors=*/true);
+  std::vector<double> h(m * m, 0.0);
+  for (std::size_t i = 0; i < m; ++i) h[i * m + i] = alpha[i];
+  for (std::size_t i = 0; i < kept; ++i) h[i * m + kept] = h[kept * m + i] = arrow[i];
+  for (std::size_t j = kept; j + 1 < m; ++j) {
+    h[j * m + j + 1] = h[(j + 1) * m + j] = beta[j - kept];
+  }
+  return symmetric_eigen(h, m);
 }
 
 }  // namespace detail

@@ -1,4 +1,4 @@
-// Symmetric Lanczos eigensolver with full reorthogonalization.
+// Symmetric thick-restart Lanczos eigensolver with full reorthogonalization.
 //
 // Computes the extremal eigenvalues of a symmetrized walk operator
 // N = D^{-1/2} A D^{-1/2} (or its weighted analogue) — in particular
@@ -10,15 +10,28 @@
 // and the *largest* Ritz value of the deflated operator is exactly
 // lambda_2.
 //
-// Full reorthogonalization is blocked classical Gram–Schmidt over one
-// contiguous column-major basis (detail::reorthogonalize): h = Q^T w, then
-// w -= Q h, each a sweep over fixed 4096-row blocks on the thread pool. A
-// second pass runs only when the first cancelled most of w (the DGKS test
-// ARPACK uses: ||w_after|| < ||w_before|| / sqrt(2)). The blocks do not
-// depend on the thread count and their partial sums are reduced in block
-// order, so every result bit is the same at any thread count. The work is
-// O(k^2 n) — the right trade for the modest subspace sizes (<= a few
-// hundred) these spectra need.
+// The basis is one contiguous column-major block of at most
+// kMaxLanczosColumns Lanczos columns after the deflation column. When it
+// fills before convergence, the solver thick-restarts (Wu & Simon 2000):
+// it keeps the Ritz pairs at both ends of the spectrum (kKeepLargest and
+// kKeepSmallest of them), rotates them into the leading columns in place
+// (detail::rotate_basis), and carries the residual vector over as the next
+// Lanczos vector. The projected matrix is then a diagonal block of kept
+// Ritz values with an arrowhead coupling to that vector, followed by the
+// usual tridiagonal recurrence, so it is solved densely (symmetric_eigen);
+// before the first restart it is tridiagonal and tridiag_eigen solves it.
+// Memory is therefore (kMaxLanczosColumns + 1) n doubles for the basis
+// whatever the number of operator applications, and every reorthogonalization
+// sweep runs over a basis small enough to stay in cache.
+//
+// Full reorthogonalization is blocked classical Gram–Schmidt
+// (detail::reorthogonalize): h = Q^T w, then w -= Q h, each a sweep over
+// fixed 4096-row blocks on the thread pool. A second pass runs only when
+// the first cancelled most of w (the DGKS test ARPACK uses: ||w_after|| <
+// ||w_before|| / sqrt(2)). The blocks do not depend on the thread count
+// and their partial sums are reduced in block order, and the restart
+// rotation sums in a fixed order over fixed row blocks, so every result
+// bit is the same at any thread count.
 //
 // The solver is generic over any operator satisfying WalkLikeOperator
 // (unweighted WalkOperator, weighted WeightedWalkOperator, ...).
@@ -27,6 +40,7 @@
 #include <algorithm>
 #include <cmath>
 #include <concepts>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <stdexcept>
@@ -53,8 +67,9 @@ concept WalkLikeOperator = requires(const Op op, std::span<const double> x,
 };
 
 struct LanczosOptions {
-  /// Maximum Lanczos subspace dimension (= max operator applications).
-  std::size_t max_iterations = 300;
+  /// Maximum operator applications. The basis stays bounded however many
+  /// there are (see kMaxLanczosColumns).
+  std::size_t max_iterations = 1000;
   /// Convergence: residual bound |beta_k * s_last| on both extremal Ritz
   /// pairs must fall below this.
   double tolerance = 1e-8;
@@ -73,8 +88,10 @@ struct SpectrumResult {
   double lambda_min = 0.0;
   /// Second largest eigenvalue modulus: mu = max(lambda2, |lambda_min|).
   double slem = 0.0;
-  /// Iterations (subspace dimension) actually used.
+  /// Operator applications actually used.
   std::size_t iterations = 0;
+  /// Thick restarts performed (0 when the solve fit in one basis).
+  std::size_t restarts = 0;
   /// Whether both extremal Ritz pairs met the residual tolerance.
   bool converged = false;
   /// Ritz vector for lambda_2 in the symmetrized space (length n). Filled
@@ -89,12 +106,40 @@ namespace detail {
 /// on the thread count.
 inline constexpr std::size_t kReorthBlockRows = 4096;
 
+/// Lanczos columns the basis holds (after the deflation column) before a
+/// thick restart.
+inline constexpr std::size_t kMaxLanczosColumns = 64;
+/// Ritz pairs a restart keeps at the top and at the bottom of the
+/// spectrum: lambda_2 and lambda_min are the targets, and their neighbours
+/// keep the restarted subspace converging at nearly the unrestarted rate.
+inline constexpr std::size_t kKeepLargest = 24;
+inline constexpr std::size_t kKeepSmallest = 8;
+
+/// Rows per block of the restart rotation: a kept-columns x rows
+/// temporary and the block's basis rows stay in L2.
+inline constexpr std::size_t kRotateBlockRows = 256;
+
 /// Orthogonalizes w against the k = basis.size() / w.size() orthonormal
 /// columns of the column-major `basis` by blocked classical Gram–Schmidt,
 /// with a second pass when the first left less than 1/sqrt(2) of ||w||
 /// (DGKS). Returns whether the second pass ran. Bit-identical at any
 /// thread count.
 bool reorthogonalize(std::span<double> w, std::span<const double> basis);
+
+/// In place q[:, 0..k) <- q y^T over the m = q.size() / n columns of the
+/// column-major n-row `q`, where `y` is k x m row-major (k <= m). Runs over
+/// fixed row blocks with a k x kRotateBlockRows temporary, summing over
+/// the m columns in order, so it needs no second basis and is
+/// bit-identical at any thread count.
+void rotate_basis(std::span<double> q, std::size_t n, std::span<const double> y,
+                  std::size_t k);
+
+/// Eigenpairs of the projected matrix: diagonal `alpha`; for i <
+/// arrow.size(), arrow[i] couples i with arrow.size(); beta[j] couples
+/// arrow.size() + j with arrow.size() + j + 1. With no arrow this is the
+/// tridiagonal case.
+TridiagEigen projected_eigen(std::span<const double> alpha, std::span<const double> arrow,
+                             std::span<const double> beta);
 
 /// Runs the solver. When `basis_out` is given it receives the final
 /// column-major basis (column 0 the deflation vector), for tests.
@@ -105,6 +150,7 @@ SpectrumResult run_lanczos(const Op& op, const LanczosOptions& options,
   SOCMIX_COUNTER_ADD("linalg.lanczos.solves", 1);
   const std::size_t n = op.dim();
   SpectrumResult result;
+  SOCMIX_GAUGE_SET("linalg.lanczos.restarts", 0);
   if (n == 0) return result;
   if (n == 1) {
     // A single vertex is the trivial chain; SLEM is 0 by convention.
@@ -112,13 +158,14 @@ SpectrumResult run_lanczos(const Op& op, const LanczosOptions& options,
     return result;
   }
 
-  const std::size_t max_iter = std::min(options.max_iterations, n);
-
-  // Column 0 is the deflation vector, column i + 1 the i-th Lanczos vector.
-  // Reserved up front but grown one column per step, so only the columns
-  // in use are ever touched.
+  // Column 0 is the deflation vector, column i + 1 the i-th Lanczos vector
+  // since the last restart (the kept Ritz vectors first). Reserved up
+  // front but grown one column per step, so only the columns in use are
+  // ever touched. When the deflated space (dimension n - 1) fits, the
+  // Krylov space is exhausted before the basis fills and nothing restarts.
+  const std::size_t max_apps = options.max_iterations;
   std::vector<double> basis;
-  basis.reserve((max_iter + 1) * n);
+  basis.reserve((std::min(max_apps, kMaxLanczosColumns) + 1) * n);
   {
     const std::vector<double> deflate = op.top_eigenvector();
     basis.insert(basis.end(), deflate.begin(), deflate.end());
@@ -126,8 +173,12 @@ SpectrumResult run_lanczos(const Op& op, const LanczosOptions& options,
   const auto column = [&basis, n](std::size_t j) {
     return std::span<const double>{basis.data() + j * n, n};
   };
+  // The projected matrix (see projected_eigen): alpha its diagonal, arrow
+  // the kept Ritz vectors' coupling to the first vector after a restart,
+  // beta[j] the coupling of Lanczos steps arrow.size() + j and the next.
   std::vector<double> alpha;
-  std::vector<double> beta;  // beta[i] couples Lanczos steps i and i+1
+  std::vector<double> arrow;
+  std::vector<double> beta;
 
   util::Rng rng{options.seed};
   std::vector<double> v(n);
@@ -139,20 +190,18 @@ SpectrumResult run_lanczos(const Op& op, const LanczosOptions& options,
 
   std::vector<double> w(n);
   TridiagEigen eig;
-  const auto solve_tridiag = [&] {
+  const auto solve_projected = [&] {
     SOCMIX_TRACE_SPAN("lanczos.tridiag");
-    const std::size_t k = alpha.size();
-    eig = tridiag_eigen(alpha, std::span<const double>{beta.data(), k - 1},
-                        /*want_vectors=*/true);
+    eig = projected_eigen(alpha, arrow, beta);
   };
 
   // Residual bounds for the extremal Ritz pairs: |beta_next * s_{k-1,j}|,
-  // where s is the tridiagonal eigenvector and beta_next the just-computed
-  // norm of the next (unnormalized) Lanczos vector.
+  // where s is the projected matrix's eigenvector and beta_next the
+  // just-computed norm of the next (unnormalized) Lanczos vector.
   const auto extremal_residuals_ok = [&](double beta_next) -> bool {
     const std::size_t k = alpha.size();
     if (k < 2) return false;
-    solve_tridiag();
+    solve_projected();
     const double res_top = std::fabs(beta_next * eig.vectors[(k - 1) * k + (k - 1)]);
     const double res_bot = std::fabs(beta_next * eig.vectors[0 * k + (k - 1)]);
     SOCMIX_GAUGE_SET("linalg.lanczos.residual_top", res_top);
@@ -160,18 +209,50 @@ SpectrumResult run_lanczos(const Op& op, const LanczosOptions& options,
     return res_top <= options.tolerance && res_bot <= options.tolerance;
   };
 
+  // Thick restart on a full basis whose projected matrix `eig` solved: the
+  // Ritz vectors at both ends of the spectrum become columns 1..kept,
+  // coupled to the next Lanczos vector (the normalized residual) by
+  // beta_next times their last component.
+  std::size_t restarts = 0;
+  const auto restart = [&](double beta_next) {
+    SOCMIX_TRACE_SPAN("lanczos.restart");
+    const std::size_t m = alpha.size();
+    std::vector<double> y;
+    y.reserve((kKeepSmallest + kKeepLargest) * m);
+    alpha.clear();
+    arrow.clear();
+    beta.clear();
+    for (std::size_t j = 0; j < m; ++j) {
+      if (j >= kKeepSmallest && j < m - kKeepLargest) continue;
+      const double* s = eig.vectors.data() + j * m;
+      y.insert(y.end(), s, s + m);
+      alpha.push_back(eig.values[j]);
+      arrow.push_back(beta_next * s[m - 1]);
+    }
+    rotate_basis(std::span<double>{basis.data() + n, m * n}, n, y, alpha.size());
+    basis.resize((alpha.size() + 1) * n);
+    ++restarts;
+  };
+
   bool converged = false;
+  std::size_t apps = 0;
   while (true) {
     op.apply(v, w);
+    ++apps;
     const double a = dot(w, v);
     alpha.push_back(a);
     basis.insert(basis.end(), v.begin(), v.end());
     const std::size_t k = alpha.size();
 
-    // Three-term recurrence first, so reorthogonalization only removes
+    // Three-term recurrence first (after a restart: the arrowhead coupling
+    // to every kept Ritz vector), so reorthogonalization only removes
     // rounding-level components and its DGKS second pass stays rare.
     axpy(-a, v, w);
-    if (k > 1) axpy(-beta.back(), column(k - 1), w);
+    if (k == arrow.size() + 1) {
+      for (std::size_t i = 0; i < arrow.size(); ++i) axpy(-arrow[i], column(i + 1), w);
+    } else {
+      axpy(-beta.back(), column(k - 1), w);
+    }
     {
       SOCMIX_TRACE_SPAN("lanczos.reorth");
       if (reorthogonalize(w, basis)) {
@@ -181,25 +262,31 @@ SpectrumResult run_lanczos(const Op& op, const LanczosOptions& options,
     const double b = norm2(w);
 
     const bool exhausted = b <= 1e-14;  // invariant subspace reached: exact
-    if (k % options.check_every == 0 || k == max_iter || exhausted) {
+    const bool full = k == kMaxLanczosColumns;
+    if (apps % options.check_every == 0 || apps >= max_apps || exhausted || full) {
       if (extremal_residuals_ok(b) || exhausted) {
         converged = true;
         break;
       }
     }
-    if (k == max_iter) break;
+    if (apps >= max_apps) break;
 
-    beta.push_back(b);
     for (std::size_t i = 0; i < n; ++i) v[i] = w[i] / b;
+    if (full) {
+      restart(b);
+    } else {
+      beta.push_back(b);
+    }
   }
 
-  const std::size_t dim = alpha.size();
-  if (eig.values.size() != dim) solve_tridiag();
+  if (eig.values.size() != alpha.size()) solve_projected();
 
-  result.iterations = dim;
+  result.iterations = apps;
+  result.restarts = restarts;
   result.converged = converged;
-  SOCMIX_COUNTER_ADD("linalg.lanczos.iterations", dim);
-  SOCMIX_GAUGE_SET("linalg.lanczos.last_iterations", dim);
+  SOCMIX_COUNTER_ADD("linalg.lanczos.iterations", apps);
+  SOCMIX_GAUGE_SET("linalg.lanczos.last_iterations", apps);
+  SOCMIX_GAUGE_SET("linalg.lanczos.restarts", restarts);
 
   // Ritz values approximate the *deflated* operator's spectrum: its largest
   // is lambda_2 of the (possibly lazy) operator; map back to P's spectrum.

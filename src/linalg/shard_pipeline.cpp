@@ -1,12 +1,12 @@
 #include "linalg/shard_pipeline.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <stdexcept>
 
 #include "linalg/simd/kernels.hpp"
 #include "obs/obs.hpp"
 #include "resilience/fault.hpp"
+#include "util/timer.hpp"
 
 namespace socmix::linalg {
 
@@ -131,20 +131,23 @@ void ShardPipeline::stage(std::uint32_t s) {
   SOCMIX_TRACE_SPAN("shard.prefetch_fill");
   const graph::NodeId lo = plan_.begin(s);
   const graph::NodeId hi = plan_.end(s);
-  std::size_t bytes = 0;
   if (compressed_) {
     if (mapped_ != nullptr) {
       mapped_->advise_rows(lo, hi);
-      bytes = mapped_->window_bytes(lo, hi);
+      SOCMIX_COUNTER_ADD("markov.shard.prefetch_bytes", mapped_->window_bytes(lo, hi));
     }
     // The decode streams every compressed byte of the window, so it *is*
     // the blocking read — no separate page touching needed.
     decode_window(s, slots_[s % 2]);
   } else if (mapped_ != nullptr) {
-    bytes = mapped_->prefetch_rows(lo, hi);
+    // The page touching is the point; the bytes walked only feed the counter.
+#if SOCMIX_OBS_ENABLED
+    SOCMIX_COUNTER_ADD("markov.shard.prefetch_bytes", mapped_->prefetch_rows(lo, hi));
+#else
+    mapped_->prefetch_rows(lo, hi);
+#endif
   }
   SOCMIX_COUNTER_ADD("markov.shard.prefetch_issued", 1);
-  SOCMIX_COUNTER_ADD("markov.shard.prefetch_bytes", bytes);
 }
 
 void ShardPipeline::decode_window(std::uint32_t s, Slot& slot) {
@@ -248,8 +251,6 @@ ShardWindow ShardPipeline::acquire(std::uint32_t s) {
   resilience::fault_point("shard.window");
   const std::uint32_t shards = plan_.num_shards();
   if (threaded_) {
-    bool stalled = false;
-    double stall_seconds = 0.0;
     {
       std::unique_lock<std::mutex> lock{mutex_};
       const auto want = static_cast<std::int64_t>(s);
@@ -261,13 +262,11 @@ ShardWindow ShardPipeline::acquire(std::uint32_t s) {
         cv_.notify_all();
       }
       if (ready_ != want && error_ == nullptr) {
-        stalled = true;
         SOCMIX_TRACE_SPAN("shard.prefetch_wait");
-        const auto wait_start = std::chrono::steady_clock::now();
+        const util::Timer wait;
         cv_.wait(lock, [&] { return ready_ == want || error_ != nullptr; });
-        stall_seconds = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - wait_start)
-                            .count();
+        SOCMIX_COUNTER_ADD("markov.shard.prefetch_stalls", 1);
+        SOCMIX_TIME_OBSERVE("markov.shard.prefetch_stall_seconds", wait.seconds());
       }
       if (error_ != nullptr) {
         const std::exception_ptr error = error_;
@@ -278,10 +277,6 @@ ShardWindow ShardPipeline::acquire(std::uint32_t s) {
         request_ = static_cast<std::int64_t>(s) + 1;
         cv_.notify_all();
       }
-    }
-    if (stalled) {
-      SOCMIX_COUNTER_ADD("markov.shard.prefetch_stalls", 1);
-      SOCMIX_TIME_OBSERVE("markov.shard.prefetch_stall_seconds", stall_seconds);
     }
   } else {
     // Synchronous staging, preserving the classic madvise cadence: advise

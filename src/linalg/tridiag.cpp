@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
+#include <utility>
 
 namespace socmix::linalg {
 
@@ -107,6 +108,78 @@ TridiagEigen tridiag_eigen(std::span<const double> diag, std::span<const double>
     out.vectors = std::move(sorted_vectors);
   }
   out.values = std::move(sorted_values);
+  return out;
+}
+
+TridiagEigen symmetric_eigen(std::span<const double> a, std::size_t m) {
+  if (a.size() != m * m) {
+    throw std::invalid_argument{"symmetric_eigen: matrix must be m x m"};
+  }
+  std::vector<double> h(a.begin(), a.end());
+  const auto at = [&h, m](std::size_t i, std::size_t j) -> double& { return h[i * m + j]; };
+  // q accumulates the reflectors: a = q t q^T with t tridiagonal.
+  std::vector<double> q(m * m, 0.0);
+  for (std::size_t i = 0; i < m; ++i) q[i * m + i] = 1.0;
+
+  std::vector<double> u(m);
+  std::vector<double> p(m);
+  for (std::size_t k = 0; k + 2 < m; ++k) {
+    // Reflector P = I - tau u u^T mapping column k below the subdiagonal
+    // onto the subdiagonal; skipped when that part is already zero.
+    double tail = 0.0;
+    for (std::size_t i = k + 2; i < m; ++i) tail += at(i, k) * at(i, k);
+    if (tail == 0.0) continue;
+    const double x0 = at(k + 1, k);
+    const double alpha = -std::copysign(std::sqrt(tail + x0 * x0), x0);
+    u[k + 1] = x0 - alpha;
+    for (std::size_t i = k + 2; i < m; ++i) u[i] = at(i, k);
+    const double tau = 2.0 / (tail + u[k + 1] * u[k + 1]);
+
+    // Trailing block: A <- P A P = A - u r^T - r u^T with p = tau A u,
+    // r = p - (tau/2)(u^T p) u.
+    double up = 0.0;
+    for (std::size_t i = k + 1; i < m; ++i) {
+      double s = 0.0;
+      for (std::size_t j = k + 1; j < m; ++j) s += at(i, j) * u[j];
+      p[i] = tau * s;
+      up += u[i] * p[i];
+    }
+    const double half = 0.5 * tau * up;
+    for (std::size_t i = k + 1; i < m; ++i) p[i] -= half * u[i];
+    for (std::size_t i = k + 1; i < m; ++i) {
+      for (std::size_t j = k + 1; j < m; ++j) at(i, j) -= u[i] * p[j] + p[i] * u[j];
+    }
+    at(k + 1, k) = alpha;
+    at(k, k + 1) = alpha;
+    for (std::size_t i = k + 2; i < m; ++i) at(i, k) = at(k, i) = 0.0;
+
+    // q <- q P.
+    for (std::size_t r = 0; r < m; ++r) {
+      double s = 0.0;
+      for (std::size_t j = k + 1; j < m; ++j) s += q[r * m + j] * u[j];
+      s *= tau;
+      for (std::size_t j = k + 1; j < m; ++j) q[r * m + j] -= s * u[j];
+    }
+  }
+
+  std::vector<double> diag(m);
+  std::vector<double> offdiag(m > 0 ? m - 1 : 0);
+  for (std::size_t i = 0; i < m; ++i) diag[i] = at(i, i);
+  for (std::size_t i = 0; i + 1 < m; ++i) offdiag[i] = at(i, i + 1);
+  TridiagEigen out = tridiag_eigen(diag, offdiag, /*want_vectors=*/true);
+
+  // Eigenvector k of a is q z_k.
+  std::vector<double> vectors(m * m, 0.0);
+  for (std::size_t k = 0; k < m; ++k) {
+    const double* z = out.vectors.data() + k * m;
+    double* x = vectors.data() + k * m;
+    for (std::size_t r = 0; r < m; ++r) {
+      double s = 0.0;
+      for (std::size_t i = 0; i < m; ++i) s += q[r * m + i] * z[i];
+      x[r] = s;
+    }
+  }
+  out.vectors = std::move(vectors);
   return out;
 }
 

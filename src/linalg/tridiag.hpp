@@ -1,5 +1,6 @@
 // Symmetric tridiagonal eigensolver (implicit QL with Wilkinson shifts),
-// the inner solver of the Lanczos procedure.
+// the inner solver of the Lanczos procedure, plus a small dense symmetric
+// eigensolver built on it for the projected matrix after a thick restart.
 //
 // Classic EISPACK tql2/imtql2 algorithm: O(m^2) per eigenvalue without
 // vectors, O(m^3) with, where m is the (small) Lanczos subspace dimension.
@@ -27,5 +28,11 @@ struct TridiagEigen {
 [[nodiscard]] TridiagEigen tridiag_eigen(std::span<const double> diag,
                                          std::span<const double> offdiag,
                                          bool want_vectors);
+
+/// All eigenpairs of the dense symmetric m x m matrix `a` (row-major):
+/// Householder reduction to tridiagonal form, tridiag_eigen, then the
+/// reflectors applied back to the eigenvectors. Same layout as
+/// tridiag_eigen with vectors. O(m^3), for m up to a few hundred.
+[[nodiscard]] TridiagEigen symmetric_eigen(std::span<const double> a, std::size_t m);
 
 }  // namespace socmix::linalg

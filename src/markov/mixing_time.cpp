@@ -9,6 +9,10 @@
 #include <numeric>
 #include <stdexcept>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "linalg/vector_ops.hpp"
 #include "markov/batched_evolver.hpp"
 #include "markov/evolution.hpp"
@@ -376,6 +380,15 @@ SampledMixing measure_sampled_mixing(const graph::Graph& g,
   });
   checkpoint.finalize();
   progress.finish();
+#if defined(__GLIBC__)
+  // The workers' lane blocks (three n x kBlock arrays each) are gone now.
+  // Once glibc has freed one such mmapped block it raises its mmap
+  // threshold above that size, so the next measurement's blocks come from
+  // per-thread arenas that keep their pages after free; repeated
+  // measurements in one process then ratchet peak RSS up by whole blocks.
+  // Hand the free pages back so each measurement starts from what is live.
+  malloc_trim(0);
+#endif
   return SampledMixing{{sources.begin(), sources.end()}, std::move(trajectories)};
 }
 

@@ -65,17 +65,19 @@ class SmxgTest : public ::testing::Test {
     std::memcpy(bytes.data() + 60, &crc, sizeof crc);
   }
 
-  static std::uint64_t rejected_count() {
 #if SOCMIX_OBS_ENABLED
+  static std::uint64_t rejected_count() {
     for (const auto& counter : obs::Registry::instance().snapshot().counters) {
       if (counter.name == "graph.io.smxg_rejected") return counter.value;
     }
-#endif
     return 0;
   }
+#endif
 
   void expect_rejected(const std::string& what_substr) {
+#if SOCMIX_OBS_ENABLED
     const std::uint64_t before = rejected_count();
+#endif
     try {
       const MappedGraph mapped{path_};
       FAIL() << "expected rejection containing '" << what_substr << "'";

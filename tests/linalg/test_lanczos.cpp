@@ -230,8 +230,76 @@ TEST(LanczosReorthogonalize, BasisStaysOrthonormalOnSlowMixingDumbbell) {
   std::vector<double> basis;
   const auto s = detail::run_lanczos(op, {}, /*want_vector=*/false, &basis);
   ASSERT_TRUE(s.converged);
-  ASSERT_EQ(basis.size(), (s.iterations + 1) * op.dim());  // + deflation column
+  // + deflation column; each thick restart drops the Ritz pairs it does not
+  // keep, so the rotated Ritz columns are checked too.
+  constexpr std::size_t dropped =
+      detail::kMaxLanczosColumns - detail::kKeepLargest - detail::kKeepSmallest;
+  ASSERT_EQ(basis.size(), (s.iterations - dropped * s.restarts + 1) * op.dim());
   EXPECT_LE(orthogonality_error(basis, op.dim()), 1e-12);
+}
+
+TEST(LanczosThickRestart, RestartedSolvesMatchDenseJacobi) {
+  // Both need more operator applications than the basis holds; the cycle's
+  // clustered extremes make it restart several times.
+  const std::vector<std::pair<const char*, graph::Graph>> graphs{
+      {"random dumbbell", random_dumbbell(100, 400, 3)}, {"cycle", gen::cycle(201)}};
+  for (const auto& [name, g] : graphs) {
+    const WalkOperator op{g};
+    std::vector<double> basis;
+    const auto s = detail::run_lanczos(op, {}, /*want_vector=*/false, &basis);
+    ASSERT_TRUE(s.converged) << name;
+    EXPECT_GT(s.restarts, 0u) << name;
+    const auto exact = jacobi_eigenvalues(dense_walk_matrix(g));
+    EXPECT_NEAR(s.lambda2, exact[exact.size() - 2], 1e-8) << name;
+    EXPECT_NEAR(s.lambda_min, exact.front(), 1e-8) << name;
+    EXPECT_LE(basis.size(), (detail::kMaxLanczosColumns + 1) * op.dim()) << name;
+    EXPECT_LE(orthogonality_error(basis, op.dim()), 1e-12) << name;
+  }
+}
+
+TEST(LanczosThickRestart, BoundedBasisBitIdenticalAcrossThreadCounts) {
+  // Several thousand nodes over two reorthogonalization blocks, the last
+  // ragged, and a solve that restarts: the restart rotation must not move a
+  // bit with the thread count either.
+  const graph::Graph g = random_dumbbell(3000, 12000, 3);
+  const WalkOperator op{g};
+  ASSERT_GT(op.dim(), detail::kReorthBlockRows);
+  ASSERT_NE(op.dim() % detail::kRotateBlockRows, 0u);
+
+  util::set_thread_count(1);
+  std::vector<double> serial_basis;
+  const auto serial = detail::run_lanczos(op, {}, /*want_vector=*/true, &serial_basis);
+  ASSERT_TRUE(serial.converged);
+  EXPECT_GT(serial.restarts, 0u);
+  EXPECT_GT(serial.iterations, detail::kMaxLanczosColumns);
+  EXPECT_LE(serial_basis.size(), (detail::kMaxLanczosColumns + 1) * op.dim());
+  EXPECT_LE(orthogonality_error(serial_basis, op.dim()), 1e-12);
+  for (const std::size_t threads : {2u, 3u, 4u}) {
+    util::set_thread_count(threads);
+    std::vector<double> basis;
+    const auto s = detail::run_lanczos(op, {}, /*want_vector=*/true, &basis);
+    EXPECT_EQ(s.slem, serial.slem) << threads;
+    EXPECT_EQ(s.lambda2, serial.lambda2) << threads;
+    EXPECT_EQ(s.lambda_min, serial.lambda_min) << threads;
+    EXPECT_EQ(s.iterations, serial.iterations) << threads;
+    EXPECT_EQ(s.restarts, serial.restarts) << threads;
+    EXPECT_EQ(s.lambda2_vector, serial.lambda2_vector) << threads;
+    EXPECT_EQ(basis, serial_basis) << threads;
+  }
+  util::set_thread_count(0);
+}
+
+TEST(LanczosThickRestart, ConvergesPastThreeHundredApplications) {
+  // An odd cycle's extremes are clustered: the solve needs more operator
+  // applications than the old 300-step cap, where the unrestarted solver
+  // stopped UNCONVERGED. Default options must see it through.
+  constexpr graph::NodeId n = 501;
+  const auto s = slem_spectrum(WalkOperator{gen::cycle(n)});
+  ASSERT_TRUE(s.converged);
+  EXPECT_GT(s.iterations, 300u);
+  EXPECT_GT(s.restarts, 0u);
+  EXPECT_NEAR(s.lambda2, std::cos(2 * std::numbers::pi / n), 1e-8);
+  EXPECT_NEAR(s.lambda_min, -std::cos(std::numbers::pi / n), 1e-8);
 }
 
 TEST(LanczosReorthogonalize, HeavyCancellationTriggersSecondPass) {

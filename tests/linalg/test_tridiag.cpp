@@ -4,6 +4,10 @@
 
 #include <cmath>
 #include <numbers>
+#include <vector>
+
+#include "linalg/dense.hpp"
+#include "util/rng.hpp"
 
 namespace socmix::linalg {
 namespace {
@@ -123,6 +127,56 @@ TEST(Tridiag, ValuesAscending) {
   for (std::size_t i = 1; i < eig.values.size(); ++i) {
     EXPECT_LE(eig.values[i - 1], eig.values[i]);
   }
+}
+
+TEST(SymmetricEigen, MatchesJacobiWithOrthonormalEigenvectors) {
+  // A random dense matrix, and an arrowhead-plus-tridiagonal one shaped like
+  // the Lanczos projected matrix after a thick restart.
+  constexpr std::size_t m = 24;
+  util::Rng rng{17};
+  DenseSym dense{m, std::vector<double>(m * m)};
+  DenseSym arrow{m, std::vector<double>(m * m, 0.0)};
+  constexpr std::size_t kept = 10;
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j <= i; ++j) dense.at(i, j) = dense.at(j, i) = rng.uniform() - 0.5;
+    arrow.at(i, i) = rng.uniform() - 0.5;
+    if (i < kept) arrow.at(i, kept) = arrow.at(kept, i) = rng.uniform() - 0.5;
+    if (i >= kept && i + 1 < m) arrow.at(i, i + 1) = arrow.at(i + 1, i) = rng.uniform();
+  }
+  for (const DenseSym& a : {dense, arrow}) {
+    const auto eig = symmetric_eigen(a.a, m);
+    const auto exact = jacobi_eigenvalues(a);
+    ASSERT_EQ(eig.values.size(), m);
+    ASSERT_EQ(eig.vectors.size(), m * m);
+    for (std::size_t k = 0; k < m; ++k) {
+      EXPECT_NEAR(eig.values[k], exact[k], 1e-12) << k;
+      const double* v = eig.vectors.data() + k * m;
+      for (std::size_t i = 0; i < m; ++i) {
+        double av = 0.0;
+        for (std::size_t j = 0; j < m; ++j) av += a.at(i, j) * v[j];
+        EXPECT_NEAR(av, eig.values[k] * v[i], 1e-12) << k << "," << i;
+      }
+      for (std::size_t l = 0; l <= k; ++l) {
+        double d = 0.0;
+        for (std::size_t i = 0; i < m; ++i) d += v[i] * eig.vectors[l * m + i];
+        EXPECT_NEAR(d, l == k ? 1.0 : 0.0, 1e-12);
+      }
+    }
+  }
+}
+
+TEST(SymmetricEigen, TridiagonalInputMatchesTridiagEigen) {
+  const std::vector<double> diag{2, -1, 0.5, 3, -2, 1};
+  const std::vector<double> off{0.3, 0.8, -0.6, 0.1, 1.2};
+  const std::size_t m = diag.size();
+  std::vector<double> a(m * m, 0.0);
+  for (std::size_t i = 0; i < m; ++i) a[i * m + i] = diag[i];
+  for (std::size_t i = 0; i + 1 < m; ++i) a[i * m + i + 1] = a[(i + 1) * m + i] = off[i];
+  const auto dense = symmetric_eigen(a, m);
+  const auto tri = tridiag_eigen(diag, off, true);
+  EXPECT_EQ(dense.values, tri.values);
+  EXPECT_EQ(dense.vectors, tri.vectors);
+  EXPECT_THROW((void)symmetric_eigen(a, m - 1), std::invalid_argument);
 }
 
 }  // namespace

@@ -55,6 +55,7 @@ foreach(key
     "core.phase.spectral_seconds"
     "core.phase.sampled_seconds"
     "linalg.lanczos.solves"
+    "linalg.lanczos.restarts"
     "linalg.spmv.applies"
     "markov.evolver.sweeps"
     "markov.evolver.rows_swept"
@@ -74,7 +75,8 @@ file(READ "${trace_file}" trace)
 if(NOT trace MATCHES "^\\{\"displayTimeUnit\":\"ms\",\"traceEvents\":\\[")
   message(FATAL_ERROR "trace JSON has unexpected shape")
 endif()
-foreach(span "measure_mixing" "phase.spectral" "lanczos.reorth" "phase.sampled" "evolve_block")
+foreach(span "measure_mixing" "phase.spectral" "lanczos.reorth" "lanczos.restart"
+    "phase.sampled" "evolve_block")
   if(NOT trace MATCHES "\"name\":\"${span}\"")
     message(FATAL_ERROR "trace JSON is missing span '${span}'")
   endif()
