@@ -14,7 +14,6 @@
 #include "graph/frontier.hpp"
 #include "graph/graph.hpp"
 #include "graph/sharded/plan.hpp"
-#include "linalg/shard_pipeline.hpp"
 #include "linalg/simd/kernels.hpp"
 #include "resilience/checkpoint.hpp"
 #include "util/cli.hpp"
@@ -62,13 +61,6 @@ struct ExperimentConfig {
   /// a bounded CSR residency. Drivers forward this into
   /// MeasurementOptions.sharded / AdmissionSweepConfig.sharded.
   graph::ShardPolicy sharded;
-  /// Shard window staging, parsed from --io-mode=sync|prefetch (default
-  /// sync). Prefetch stages the next shard's CSR window (page-in, and
-  /// ADJC decode for compressed containers) on a dedicated thread while
-  /// the current shard computes. Results are bit-identical either way —
-  /// purely an I/O latency knob. Drivers forward this into
-  /// MeasurementOptions.io_mode.
-  linalg::IoMode io_mode = linalg::IoMode::kSync;
 
   /// Parses the CLI and applies `threads` to the global util::parallel
   /// pool, so every driver honors --threads with no further wiring. Also
@@ -99,11 +91,6 @@ struct ExperimentConfig {
 /// the bad value and the accepted ones. Shared by from_cli and tools that
 /// parse their own Cli (socmix measure/sybil, graph_pack).
 [[nodiscard]] graph::ShardPolicy sharded_from_cli(const util::Cli& cli);
-
-/// Parses --io-mode (default "sync"); throws std::invalid_argument naming
-/// the bad value and the accepted ones. Shared by from_cli and tools that
-/// parse their own Cli (socmix measure/sybil).
-[[nodiscard]] linalg::IoMode io_mode_from_cli(const util::Cli& cli);
 
 /// Wires the shared observability flags into the obs layer:
 ///   --metrics-out=PATH        metrics snapshot at exit (JSON; CSV if *.csv)

@@ -51,8 +51,7 @@ MixingReport measure_mixing(const graph::Graph& g, std::string name,
       // to materialize their adjacency.
       const linalg::ShardedWalkOperator op{
           active, graph::ShardPlan::balanced(active.offsets(), shards),
-          options.laziness, reordered.identity() ? options.mapped : nullptr,
-          options.io_mode};
+          options.laziness, reordered.identity() ? options.mapped : nullptr};
       spectrum = linalg::slem_spectrum(op, options.lanczos);
     } else {
       const linalg::WalkOperator op{active, options.laziness};
@@ -87,7 +86,6 @@ MixingReport measure_mixing(const graph::Graph& g, std::string name,
     sampled_options.precision = options.precision;
     sampled_options.sharded = options.sharded;
     sampled_options.mapped = options.mapped;
-    sampled_options.io_mode = options.io_mode;
     if (sampled_options.checkpoint.enabled() && sampled_options.checkpoint.name.empty()) {
       sampled_options.checkpoint.name = "mixing-" + util::slugify(report.name);
     }

@@ -79,11 +79,6 @@ struct MeasurementOptions {
   /// both phases (the dense kernels need the absent neighbor array),
   /// disables the frontier phase, and requires --reorder none.
   const graph::sharded::MappedGraph* mapped = nullptr;
-  /// Shard window staging discipline of both phases (--io-mode
-  /// sync|prefetch). Prefetch overlaps shard k+1's page-in/decode with
-  /// shard k's compute on a dedicated thread; results are bit-identical
-  /// either way.
-  linalg::IoMode io_mode = linalg::IoMode::kSync;
 };
 
 /// Everything the paper reports about one graph.

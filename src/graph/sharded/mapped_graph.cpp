@@ -349,38 +349,6 @@ void MappedGraph::advise_rows(NodeId begin, NodeId end) const noexcept {
 #endif
 }
 
-std::size_t MappedGraph::prefetch_rows(NodeId begin, NodeId end) const noexcept {
-#if SOCMIX_HAVE_MMAP
-  if (base_ == nullptr || begin >= end) return 0;
-  advise_rows(begin, end);
-  // madvise(WILLNEED) only queues readahead; touching one byte per page
-  // blocks *this* thread on the actual I/O, which is exactly the point:
-  // the pipeline thread absorbs the faults so the compute thread finds
-  // the window resident.
-  const auto* base = static_cast<const std::byte*>(base_);
-  const auto page = static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE));
-  std::size_t walked = 0;
-  unsigned char sink = 0;
-  const auto touch = [&](ByteSpan span) {
-    const std::uint64_t hi = std::min<std::uint64_t>(span.hi, mapped_bytes_);
-    if (span.lo >= hi) return;
-    for (std::uint64_t p = span.lo & ~(page - 1); p < hi; p += page) {
-      sink ^= *reinterpret_cast<const volatile unsigned char*>(base + p);
-      walked += static_cast<std::size_t>(std::min<std::uint64_t>(page, hi - p));
-    }
-  };
-  touch(offsets_span(begin, end));
-  touch(adjacency_span(begin, end));
-  // Keep the reads observable so the loop cannot be optimized away.
-  asm volatile("" : : "r"(sink));
-  return walked;
-#else
-  (void)begin;
-  (void)end;
-  return 0;
-#endif
-}
-
 void MappedGraph::release_rows(NodeId begin, NodeId end) const noexcept {
 #if SOCMIX_HAVE_MMAP
   if (base_ == nullptr || begin >= end) return;

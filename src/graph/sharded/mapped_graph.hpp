@@ -7,18 +7,17 @@
 // the file's pages directly and the OS pages them in on demand. The
 // sharded engines drive residency explicitly — advise_rows(WILLNEED) on
 // the shard about to be swept, release_rows(DONTNEED) on the one just
-// finished, prefetch_rows to additionally fault the window in from a
-// pipeline thread — so a graph far larger than RAM streams through a
-// bounded window instead of thrashing. madvise failures are counted
-// (graph.io.smxg_advise_failed) and degrade to the sync paging path;
+// finished — so a graph far larger than RAM streams through a bounded
+// window instead of thrashing. madvise failures are counted
+// (graph.io.smxg_advise_failed) and degrade to plain demand paging;
 // they are hints, never correctness. On platforms without mmap the
 // container degrades to a heap read of the whole file (same validation,
 // same view, no residency control).
 //
 // Compressed containers (format version 2, ADJC section): the view is
 // headless — row offsets map directly, neighbor ids stay stream-vbyte
-// coded on disk and are decoded per shard window by linalg::ShardPipeline
-// into scratch that is bit-identical to the raw array. advise/release/
+// coded on disk and are decoded per shard window by linalg::ShardPipeline's
+// worker thread into scratch that is bit-identical to the raw array. advise/release/
 // window accounting automatically cover the compressed byte ranges.
 #pragma once
 
@@ -109,10 +108,6 @@ class MappedGraph {
 
   /// madvise(WILLNEED) the pages backing rows [begin, end).
   void advise_rows(NodeId begin, NodeId end) const noexcept;
-  /// advise_rows, then fault the window in by touching one byte per page —
-  /// the blocking read a pipeline thread performs so the compute thread
-  /// never stalls on disk. Returns the bytes walked (0 off-mmap).
-  std::size_t prefetch_rows(NodeId begin, NodeId end) const noexcept;
   /// madvise(DONTNEED) the pages backing rows [begin, end).
   void release_rows(NodeId begin, NodeId end) const noexcept;
   /// madvise(DONTNEED) the whole mapping (load-time validation warms the

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "linalg/simd/kernels.hpp"
 #include "obs/obs.hpp"
@@ -23,70 +24,46 @@ namespace adjc = graph::sharded::adjc;
 
 }  // namespace
 
-const char* io_mode_name(IoMode mode) noexcept {
-  switch (mode) {
-    case IoMode::kSync:
-      return "sync";
-    case IoMode::kPrefetch:
-      return "prefetch";
-  }
-  return "unknown";
-}
-
-std::optional<IoMode> parse_io_mode(std::string_view name) noexcept {
-  if (name.empty() || name == "sync") return IoMode::kSync;
-  if (name == "prefetch") return IoMode::kPrefetch;
-  return std::nullopt;
-}
-
 ShardPipeline::ShardPipeline(const graph::Graph& g, graph::ShardPlan plan,
-                             const graph::sharded::MappedGraph* mapped, IoMode mode)
-    : graph_(&g), mapped_(mapped), plan_(std::move(plan)), mode_(mode) {
+                             const graph::sharded::MappedGraph* mapped)
+    : graph_(&g), mapped_(mapped), plan_(std::move(plan)) {
   compressed_ = g.headless();
   if (compressed_ && (mapped_ == nullptr || !mapped_->compressed())) {
     throw std::invalid_argument{
         "ShardPipeline: a headless graph needs its compressed MappedGraph"};
   }
-  if (compressed_) {
-    // Size both scratch slots for the worst shard now, so staging never
-    // allocates: the largest group-aligned value span and row count any
-    // shard's window covers.
-    const auto& view = mapped_->adjc_view();
-    const auto offsets = graph_->offsets();
-    const graph::NodeId n = graph_->num_nodes();
-    std::size_t max_values = 0;
-    std::size_t max_rows = 0;
-    for (std::uint32_t s = 0; s < plan_.num_shards(); ++s) {
-      const graph::NodeId lo = plan_.begin(s);
-      const graph::NodeId hi = plan_.end(s);
-      if (lo >= hi) continue;
-      const auto gs_row = static_cast<graph::NodeId>(view.group_of_row(lo) *
-                                                     view.group_rows);
-      const graph::NodeId ge_row = std::min<graph::NodeId>(
-          n, static_cast<graph::NodeId>((view.group_of_row(hi - 1) + 1) *
-                                        view.group_rows));
-      max_values = std::max<std::size_t>(max_values, offsets[ge_row] - offsets[gs_row]);
-      max_rows = std::max<std::size_t>(max_rows, hi - lo);
-    }
-    for (Slot& slot : slots_) {
-      slot.values.reserve(max_values);
-      slot.offsets.reserve(max_rows + 1);
-    }
-    scratch_bytes_ = 2 * (max_values * sizeof(graph::NodeId) +
-                          (max_rows + 1) * sizeof(graph::EdgeIndex));
-    SOCMIX_GAUGE_SET("markov.shard.scratch_bytes", scratch_bytes_);
+  if (!compressed_) return;
+  // Size both scratch slots for the worst shard now, so staging never
+  // allocates: the largest group-aligned value span and row count any
+  // shard's window covers.
+  const auto& view = mapped_->adjc_view();
+  const auto offsets = graph_->offsets();
+  const graph::NodeId n = graph_->num_nodes();
+  std::size_t max_values = 0;
+  std::size_t max_rows = 0;
+  for (std::uint32_t s = 0; s < plan_.num_shards(); ++s) {
+    const graph::NodeId lo = plan_.begin(s);
+    const graph::NodeId hi = plan_.end(s);
+    if (lo >= hi) continue;
+    const auto gs_row = static_cast<graph::NodeId>(view.group_of_row(lo) *
+                                                   view.group_rows);
+    const graph::NodeId ge_row = std::min<graph::NodeId>(
+        n, static_cast<graph::NodeId>((view.group_of_row(hi - 1) + 1) *
+                                      view.group_rows));
+    max_values = std::max<std::size_t>(max_values, offsets[ge_row] - offsets[gs_row]);
+    max_rows = std::max<std::size_t>(max_rows, hi - lo);
   }
-  // A worker only earns its keep when staging does real work: paging a
-  // mapping in, or decoding. A plain in-memory graph stays synchronous,
-  // and so does a single-hardware-thread host — there the "worker" could
-  // only time-slice against compute, turning overlap into pure context-
-  // switch overhead (kernel readahead still overlaps the device side).
-  threaded_ = mode_ == IoMode::kPrefetch && (mapped_ != nullptr || compressed_) &&
-              plan_.num_shards() > 0 && std::thread::hardware_concurrency() > 1;
-  if (threaded_) {
-    request_ = 0;
-    worker_ = std::thread{[this] { worker_main(); }};
+  for (Slot& slot : slots_) {
+    slot.values.reserve(max_values);
+    slot.offsets.reserve(max_rows + 1);
   }
+  scratch_bytes_ = 2 * (max_values * sizeof(graph::NodeId) +
+                        (max_rows + 1) * sizeof(graph::EdgeIndex));
+  SOCMIX_GAUGE_SET("markov.shard.scratch_bytes", scratch_bytes_);
+  // Decoding is the one staging step worth a thread: it overlaps compute
+  // by about 20% end to end, and costs nothing measurable on one core.
+  if (plan_.num_shards() > 0) request_ = 0;
+  worker_ = std::thread{[this] { worker_main(); }};
 }
 
 ShardPipeline::~ShardPipeline() {
@@ -121,7 +98,9 @@ void ShardPipeline::worker_main() {
       const std::lock_guard<std::mutex> lock{mutex_};
       staging_ = -1;
       ready_ = s;
-      if (error) error_ = error;
+      // Move, not copy: the worker keeps no reference past the handoff,
+      // so the compute thread that rethrows and reads it is its last owner.
+      if (error) error_ = std::move(error);
     }
     cv_.notify_all();
   }
@@ -131,22 +110,11 @@ void ShardPipeline::stage(std::uint32_t s) {
   SOCMIX_TRACE_SPAN("shard.prefetch_fill");
   const graph::NodeId lo = plan_.begin(s);
   const graph::NodeId hi = plan_.end(s);
-  if (compressed_) {
-    if (mapped_ != nullptr) {
-      mapped_->advise_rows(lo, hi);
-      SOCMIX_COUNTER_ADD("markov.shard.prefetch_bytes", mapped_->window_bytes(lo, hi));
-    }
-    // The decode streams every compressed byte of the window, so it *is*
-    // the blocking read — no separate page touching needed.
-    decode_window(s, slots_[s % 2]);
-  } else if (mapped_ != nullptr) {
-    // The page touching is the point; the bytes walked only feed the counter.
-#if SOCMIX_OBS_ENABLED
-    SOCMIX_COUNTER_ADD("markov.shard.prefetch_bytes", mapped_->prefetch_rows(lo, hi));
-#else
-    mapped_->prefetch_rows(lo, hi);
-#endif
-  }
+  mapped_->advise_rows(lo, hi);
+  SOCMIX_COUNTER_ADD("markov.shard.prefetch_bytes", mapped_->window_bytes(lo, hi));
+  // The decode streams every compressed byte of the window, so it *is*
+  // the blocking read — no separate page touching needed.
+  decode_window(s, slots_[s % 2]);
   SOCMIX_COUNTER_ADD("markov.shard.prefetch_issued", 1);
 }
 
@@ -250,43 +218,37 @@ ShardWindow ShardPipeline::window_for(std::uint32_t s) const noexcept {
 ShardWindow ShardPipeline::acquire(std::uint32_t s) {
   resilience::fault_point("shard.window");
   const std::uint32_t shards = plan_.num_shards();
-  if (threaded_) {
-    {
-      std::unique_lock<std::mutex> lock{mutex_};
-      const auto want = static_cast<std::int64_t>(s);
-      // Resync after an interrupted sweep (injected fault, engine error):
-      // if nobody is staging or has staged this shard, post it ourselves.
-      if (ready_ != want && staging_ != want && request_ != want &&
-          error_ == nullptr) {
-        request_ = want;
-        cv_.notify_all();
-      }
-      if (ready_ != want && error_ == nullptr) {
-        SOCMIX_TRACE_SPAN("shard.prefetch_wait");
-        const util::Timer wait;
-        cv_.wait(lock, [&] { return ready_ == want || error_ != nullptr; });
-        SOCMIX_COUNTER_ADD("markov.shard.prefetch_stalls", 1);
-        SOCMIX_TIME_OBSERVE("markov.shard.prefetch_stall_seconds", wait.seconds());
-      }
-      if (error_ != nullptr) {
-        const std::exception_ptr error = error_;
-        error_ = nullptr;
-        std::rethrow_exception(error);
-      }
-      if (s + 1 < shards) {
-        request_ = static_cast<std::int64_t>(s) + 1;
-        cv_.notify_all();
-      }
+  if (compressed_) {
+    std::unique_lock<std::mutex> lock{mutex_};
+    const auto want = static_cast<std::int64_t>(s);
+    // Resync after an interrupted sweep (injected fault, engine error):
+    // if nobody is staging or has staged this shard, post it ourselves.
+    if (ready_ != want && staging_ != want && request_ != want &&
+        error_ == nullptr) {
+      request_ = want;
+      cv_.notify_all();
     }
-  } else {
-    // Synchronous staging, preserving the classic madvise cadence: advise
-    // this window on the first shard, advise one ahead, and let the
-    // compute thread take the faults (and the decode, when compressed).
-    if (mapped_ != nullptr) {
-      if (s == 0) mapped_->advise_rows(plan_.begin(0), plan_.end(0));
-      if (s + 1 < shards) mapped_->advise_rows(plan_.begin(s + 1), plan_.end(s + 1));
+    if (ready_ != want && error_ == nullptr) {
+      SOCMIX_TRACE_SPAN("shard.prefetch_wait");
+      const util::Timer wait;
+      cv_.wait(lock, [&] { return ready_ == want || error_ != nullptr; });
+      SOCMIX_COUNTER_ADD("markov.shard.prefetch_stalls", 1);
+      SOCMIX_TIME_OBSERVE("markov.shard.prefetch_stall_seconds", wait.seconds());
     }
-    if (compressed_) decode_window(s, slots_[s % 2]);
+    if (error_ != nullptr) {
+      const std::exception_ptr error = error_;
+      error_ = nullptr;
+      std::rethrow_exception(error);
+    }
+    if (s + 1 < shards) {
+      request_ = static_cast<std::int64_t>(s) + 1;
+      cv_.notify_all();
+    }
+  } else if (mapped_ != nullptr) {
+    // Raw pages stage inline: advise this window on the first shard,
+    // advise one ahead, and let the compute thread take the faults.
+    if (s == 0) mapped_->advise_rows(plan_.begin(0), plan_.end(0));
+    if (s + 1 < shards) mapped_->advise_rows(plan_.begin(s + 1), plan_.end(s + 1));
   }
   if (s > 0 && mapped_ != nullptr) {
     mapped_->release_rows(plan_.begin(s - 1), plan_.end(s - 1));
@@ -300,14 +262,11 @@ void ShardPipeline::finish_sweep() {
   if (mapped_ != nullptr) {
     mapped_->release_rows(plan_.begin(shards - 1), plan_.end(shards - 1));
   }
-  if (threaded_) {
+  if (compressed_) {
     // Stage the next sweep's first window now: it fills behind the
     // caller's between-sweep work (TVD reduction, prescale, vector ops).
     const std::lock_guard<std::mutex> lock{mutex_};
-    if (error_ == nullptr && ready_ != 0 && staging_ != 0) {
-      request_ = 0;
-      cv_.notify_all();
-    }
+    if (error_ == nullptr && ready_ != 0 && staging_ != 0) request_ = 0;
     cv_.notify_all();
   }
 }

@@ -1,33 +1,34 @@
-// Double-buffered shard window pipeline: hide I/O behind compute.
+// Double-buffered shard window pipeline: hide decoding behind compute.
 //
 // The sharded engines (markov::ShardedBatchedEvolver, linalg::
-// ShardedWalkOperator) sweep a mapped CSR one contiguous shard at a time.
-// Before this pipeline existed they advised the next window and paged it
-// in synchronously — every cold page fault landed on the compute thread.
-// ShardPipeline moves the paging (and, for compressed containers, the
-// decoding) onto one dedicated worker thread with two window slots:
-// while compute sweeps shard k, the worker faults shard k+1's bytes in
-// (madvise(WILLNEED) + one touch per page) or decodes them into the
-// other scratch slot, and the window behind the sweep is released. The
-// sweep only ever blocks when the worker falls behind, and that stall is
-// measured: markov.shard.prefetch_stall_seconds / prefetch_stalls along
-// with the shard.prefetch_wait / shard.prefetch_fill trace spans are the
-// overlap evidence (DESIGN.md "Shard pipeline & compression").
+// ShardedWalkOperator) sweep a CSR one contiguous shard at a time. How a
+// shard's window is staged follows from the input alone; there is no knob:
 //
-// IoMode::kSync preserves the pre-pipeline behavior exactly — the same
-// madvise calls in the same order, decode (if any) inline on the compute
-// thread. Either mode, either adjacency representation, the window handed
-// to compute holds bit-identical neighbor ids in bit-identical order, so
-// io-mode and compression are pure I/O knobs: results never change by a
-// bit and neither is folded into the checkpoint context.
+//   - compressed (ADJC) container: one dedicated worker thread decodes
+//     shard k+1's groups into the other of two scratch slots while compute
+//     sweeps shard k. The sweep only blocks when the worker falls behind,
+//     and that stall is measured: markov.shard.prefetch_stall_seconds /
+//     prefetch_stalls along with the shard.prefetch_wait /
+//     shard.prefetch_fill trace spans are the overlap evidence.
+//   - raw mapped container: staged inline. acquire advises shard k+1
+//     (madvise(WILLNEED)) and releases shard k-1; the kernel's readahead
+//     overlaps the device side, so a worker touching pages ahead wins
+//     nothing measurable.
+//   - in-memory graph: nothing to stage.
 //
-// Windows over a compressed (ADJC) container are decoded group-by-group
-// into per-slot scratch and returned with `local == true`: `offsets` is
-// then a window-local array (index row j - begin, values indexing
-// `neighbors` directly) instead of the absolute CSR arrays. All decoding
-// precedes all floating-point math of the shard, and the decoder
-// re-validates every group (stream byte counts, id range) so a corrupt
-// stream fails closed even when load-time CRC verification was skipped.
+// DESIGN.md "Shard pipeline & compression" has the measurements behind
+// this policy. Either way the window handed to compute holds bit-identical
+// neighbor ids in bit-identical order, so staging and compression never
+// change a result bit and neither is folded into the checkpoint context.
+//
+// Windows over a compressed container are decoded group-by-group into
+// per-slot scratch and returned with `local == true`: `offsets` is then a
+// window-local array (index row j - begin, values indexing `neighbors`
+// directly) instead of the absolute CSR arrays. All decoding precedes all
+// floating-point math of the shard, and the decoder re-validates every
+// group (stream byte counts, id range) so a corrupt stream fails closed
+// even when load-time CRC verification was skipped; the worker's error is
+// rethrown on the compute thread by the next acquire.
 #pragma once
 
 #include <cstddef>
@@ -35,8 +36,6 @@
 #include <condition_variable>
 #include <exception>
 #include <mutex>
-#include <optional>
-#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -46,15 +45,6 @@
 #include "util/aligned.hpp"
 
 namespace socmix::linalg {
-
-/// How the sharded engines stage CSR windows (--io-mode sync|prefetch).
-enum class IoMode : std::uint8_t {
-  kSync = 0,      ///< advise ahead, fault on the compute thread (classic)
-  kPrefetch = 1,  ///< worker thread faults/decodes one shard ahead
-};
-
-[[nodiscard]] const char* io_mode_name(IoMode mode) noexcept;
-[[nodiscard]] std::optional<IoMode> parse_io_mode(std::string_view name) noexcept;
 
 /// One shard's adjacency, ready for the kernels.
 ///
@@ -77,30 +67,29 @@ struct ShardWindow {
 class ShardPipeline {
  public:
   /// `g` and `mapped` (nullable for in-memory graphs) must outlive the
-  /// pipeline. A headless `g` (compressed container) requires `mapped`.
-  /// The worker thread starts — and shard 0's fill is posted — only for
-  /// kPrefetch with actual staging work (a mapping or a decode).
+  /// pipeline. A headless `g` (compressed container) requires `mapped`;
+  /// only then does the decode worker start, with shard 0's fill posted.
   ShardPipeline(const graph::Graph& g, graph::ShardPlan plan,
-                const graph::sharded::MappedGraph* mapped, IoMode mode);
+                const graph::sharded::MappedGraph* mapped);
   ~ShardPipeline();
 
   ShardPipeline(const ShardPipeline&) = delete;
   ShardPipeline& operator=(const ShardPipeline&) = delete;
 
   /// Hands shard `s`'s window to compute. Shards must be acquired in
-  /// ascending order within a sweep. Blocks until the window is staged
-  /// (counting the stall), posts shard s+1 to the worker, and releases
-  /// the pages behind shard s-1. Hits the "shard.window" fault site.
-  /// Rethrows any staging error (e.g. a corrupt ADJC group) here, on the
-  /// compute thread.
+  /// ascending order within a sweep. Compressed: blocks until the worker
+  /// has decoded the window (counting the stall), posts shard s+1, and
+  /// rethrows any decode error (e.g. a corrupt ADJC group) here, on the
+  /// compute thread. Raw mapped: advises shard s+1. Both release the
+  /// pages behind shard s-1. Hits the "shard.window" fault site.
   [[nodiscard]] ShardWindow acquire(std::uint32_t s);
 
-  /// Ends a sweep: releases the last shard's pages and posts shard 0 so
-  /// the next sweep's first window stages behind the caller's between-
-  /// sweep work (TVD reduction, prescale, Lanczos vector ops).
+  /// Ends a sweep: releases the last shard's pages and, when compressed,
+  /// posts shard 0 so the next sweep's first window decodes behind the
+  /// caller's between-sweep work (TVD reduction, prescale, Lanczos vector
+  /// ops).
   void finish_sweep();
 
-  [[nodiscard]] IoMode mode() const noexcept { return mode_; }
   /// True when windows are decoded (compressed container): acquire
   /// returns local windows and the engine must use the rebased kernel
   /// call; also implies the frontier optimization is unavailable.
@@ -116,7 +105,7 @@ class ShardPipeline {
     graph::NodeId end = 0;
   };
 
-  void stage(std::uint32_t s);  // fault in and/or decode shard s
+  void stage(std::uint32_t s);  // worker: advise and decode shard s
   void decode_window(std::uint32_t s, Slot& slot);
   void worker_main();
   [[nodiscard]] ShardWindow window_for(std::uint32_t s) const noexcept;
@@ -124,9 +113,7 @@ class ShardPipeline {
   const graph::Graph* graph_;
   const graph::sharded::MappedGraph* mapped_;
   graph::ShardPlan plan_;
-  IoMode mode_;
   bool compressed_ = false;
-  bool threaded_ = false;
   std::size_t scratch_bytes_ = 0;
   Slot slots_[2];
 

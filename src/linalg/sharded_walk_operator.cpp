@@ -12,8 +12,7 @@ namespace socmix::linalg {
 
 ShardedWalkOperator::ShardedWalkOperator(const graph::Graph& g, graph::ShardPlan plan,
                                          double laziness,
-                                         const graph::sharded::MappedGraph* mapped,
-                                         IoMode io_mode)
+                                         const graph::sharded::MappedGraph* mapped)
     : graph_(&g), mapped_(mapped), plan_(std::move(plan)), laziness_(laziness) {
   if (laziness < 0.0 || laziness >= 1.0) {
     throw std::invalid_argument{"ShardedWalkOperator: laziness must be in [0, 1)"};
@@ -33,7 +32,7 @@ ShardedWalkOperator::ShardedWalkOperator(const graph::Graph& g, graph::ShardPlan
     inv_sqrt_deg_[v] = 1.0 / std::sqrt(static_cast<double>(d));
   }
   scaled_.resize(n);
-  pipeline_ = std::make_unique<ShardPipeline>(g, plan_, mapped_, io_mode);
+  pipeline_ = std::make_unique<ShardPipeline>(g, plan_, mapped_);
 }
 
 void ShardedWalkOperator::apply(std::span<const double> x, std::span<double> y) const {

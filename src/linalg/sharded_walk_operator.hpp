@@ -3,12 +3,12 @@
 // Satisfies the WalkLikeOperator concept (see lanczos.hpp), so
 // slem_spectrum runs Lanczos on a memory-mapped graph unchanged: apply()
 // sweeps one contiguous vertex shard at a time through a ShardPipeline,
-// which stages each shard's CSR window (madvise windowing, optional
-// prefetch thread, optional ADJC decode) so the adjacency residency stays
-// near two shards however large the graph is. Rows are independent and
-// every row runs the identical spmv kernel, so shard geometry, io-mode
-// and compression never change an output bit — apply() is bitwise equal
-// to WalkOperator::apply for any shard count (tests/linalg/
+// which stages each shard's CSR window (madvise windowing for a raw pack,
+// ADJC decode on a worker thread for a compressed one) so the adjacency
+// residency stays near two shards however large the graph is. Rows are
+// independent and every row runs the identical spmv kernel, so shard
+// geometry and compression never change an output bit — apply() is
+// bitwise equal to WalkOperator::apply for any shard count (tests/linalg/
 // test_sharded_operator.cpp).
 #pragma once
 
@@ -28,11 +28,8 @@ class ShardedWalkOperator {
   /// `plan.dim()` must equal g.num_nodes(). `mapped`, when non-null, must
   /// back `g` and outlive the operator; it enables the madvise windowing.
   /// A headless `g` (compressed container) requires its `mapped`.
-  /// `io_mode` selects synchronous staging or the prefetch worker; it is
-  /// a pure I/O knob (results identical either way).
   ShardedWalkOperator(const graph::Graph& g, graph::ShardPlan plan, double laziness = 0.0,
-                      const graph::sharded::MappedGraph* mapped = nullptr,
-                      IoMode io_mode = IoMode::kSync);
+                      const graph::sharded::MappedGraph* mapped = nullptr);
 
   /// y = Op * x; bitwise equal to WalkOperator::apply. Same scratch caveat:
   /// no concurrent apply() calls on one operator.
@@ -43,7 +40,6 @@ class ShardedWalkOperator {
   [[nodiscard]] std::vector<double> top_eigenvector() const;
   [[nodiscard]] const graph::Graph& graph() const noexcept { return *graph_; }
   [[nodiscard]] const graph::ShardPlan& plan() const noexcept { return plan_; }
-  [[nodiscard]] IoMode io_mode() const noexcept { return pipeline_->mode(); }
 
   [[nodiscard]] double map_eigenvalue(double simple_lambda) const noexcept {
     return (1.0 - laziness_) * simple_lambda + laziness_;

@@ -272,8 +272,7 @@ SampledMixing measure_sampled_mixing(const graph::Graph& g,
   // A headless graph's structural fingerprint would sample an empty
   // neighbor span; the container carries the pack-time fingerprint of the
   // full CSR, which is what keeps compressed checkpoints interchangeable
-  // with dense/uncompressed ones. io_mode is deliberately absent from the
-  // context word (results are bit-identical across modes, like threads).
+  // with dense/uncompressed ones.
   const std::uint64_t graph_word =
       headless ? options.mapped->fingerprint() : graph::structural_fingerprint(g);
   resilience::BlockCheckpoint checkpoint{
@@ -369,8 +368,7 @@ SampledMixing measure_sampled_mixing(const graph::Graph& g,
     if (use_sharded) {
       ShardedBatchedEvolver evolver{
           active, graph::ShardPlan::balanced(active.offsets(), resolved_shards),
-          laziness, kBlock, frontier, options.precision, mapped,
-          options.io_mode};
+          laziness, kBlock, frontier, options.precision, mapped};
       run_blocks(evolver, lo, hi);
     } else {
       BatchedEvolver evolver{active, laziness, kBlock, frontier,

@@ -23,7 +23,6 @@
 #include "graph/reorder.hpp"
 #include "graph/sharded/mapped_graph.hpp"
 #include "graph/sharded/plan.hpp"
-#include "linalg/shard_pipeline.hpp"
 #include "linalg/simd/kernels.hpp"
 #include "resilience/checkpoint.hpp"
 #include "util/rng.hpp"
@@ -173,12 +172,6 @@ struct SampledMixingOptions {
   /// other than kNone — none of which changes an output bit versus the
   /// same flags on the dense CSR.
   const graph::sharded::MappedGraph* mapped = nullptr;
-  /// Shard window staging discipline (--io-mode sync|prefetch). kPrefetch
-  /// stages shard k+1 on a dedicated thread while shard k computes, hiding
-  /// page-in (and ADJC decode) latency behind the SpMM. Pure I/O knob:
-  /// results are bit-identical either way, so it is *not* folded into the
-  /// checkpoint context word — snapshots move freely across io modes.
-  linalg::IoMode io_mode = linalg::IoMode::kSync;
 };
 
 /// Evolves a point mass from each source for max_steps steps and records

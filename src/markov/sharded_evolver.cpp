@@ -12,8 +12,7 @@ ShardedBatchedEvolver::ShardedBatchedEvolver(const graph::Graph& g, graph::Shard
                                              double laziness, std::size_t block,
                                              graph::FrontierPolicy frontier,
                                              linalg::simd::Precision precision,
-                                             const graph::sharded::MappedGraph* mapped,
-                                             linalg::IoMode io_mode)
+                                             const graph::sharded::MappedGraph* mapped)
     : graph_(&g), mapped_(mapped), plan_(std::move(plan)), laziness_(laziness),
       block_(block), precision_(precision), policy_(frontier) {
   if (laziness < 0.0 || laziness >= 1.0) {
@@ -71,7 +70,7 @@ ShardedBatchedEvolver::ShardedBatchedEvolver(const graph::Graph& g, graph::Shard
   SOCMIX_GAUGE_SET("markov.shard.count", plan_.num_shards());
   SOCMIX_GAUGE_SET("markov.shard.boundary_half_edges", boundary_half_edges_);
 #endif
-  pipeline_ = std::make_unique<linalg::ShardPipeline>(g, plan_, mapped_, io_mode);
+  pipeline_ = std::make_unique<linalg::ShardPipeline>(g, plan_, mapped_);
 }
 
 void ShardedBatchedEvolver::seed_point_masses(std::span<const graph::NodeId> sources) {
@@ -188,9 +187,9 @@ void ShardedBatchedEvolver::sweep(const double* pi, double* tvd_out) {
   // Shard loop. Every shard sweep is a range-driven SpMM over the shard's
   // rows with the TVD deferred (pi null): the range kernels run the same
   // per-row body as the dense kernels, so grouping rows by shard changes
-  // no bits. Window staging (advise-ahead, prefetch thread, ADJC decode)
+  // no bits. Window staging (advise-ahead, ADJC decode on the worker)
   // lives in the pipeline; each acquired window holds the identical
-  // neighbor sequence, so io-mode/compression change no bits either.
+  // neighbor sequence, so compression changes no bits either.
   linalg::simd::SpmmArgs base;
   base.n = n;
   base.stride = block_;

@@ -7,9 +7,11 @@
 //
 //   1. prescale   — one streaming pass over the RAM-resident lane state
 //                   (scaled = cur * inv_deg), exactly the dense pass;
-//   2. per shard  — madvise(WILLNEED) the next shard's CSR window, run
-//                   the range-driven SpMM over this shard's rows (pi
-//                   deferred), madvise(DONTNEED) the finished window.
+//   2. per shard  — stage the next shard's CSR window (madvise(WILLNEED)
+//                   for a raw pack, decode ahead on the pipeline worker
+//                   for a compressed one), run the range-driven SpMM over
+//                   this shard's rows (pi deferred), madvise(DONTNEED) the
+//                   finished window.
 //                   Gathers of `scaled` rows owned by *other* shards are
 //                   the boundary exchange: the state is lane-major in
 //                   RAM, so crossing edges read it directly and the
@@ -53,15 +55,14 @@ class ShardedBatchedEvolver {
   /// with >= 1 shard. `mapped`, when non-null, must back `g` and outlive
   /// the evolver; it enables the madvise windowing. A headless `g`
   /// (compressed container) requires its `mapped` and a disabled frontier
-  /// policy (the closure walk needs in-memory adjacency). `io_mode` picks
-  /// synchronous staging or the prefetch worker (linalg::ShardPipeline);
-  /// like the shard count it never changes an output bit.
+  /// policy (the closure walk needs in-memory adjacency). Window staging
+  /// (linalg::ShardPipeline) follows from the container and, like the
+  /// shard count, never changes an output bit.
   explicit ShardedBatchedEvolver(
       const graph::Graph& g, graph::ShardPlan plan, double laziness = 0.0,
       std::size_t block = kDefaultBlock, graph::FrontierPolicy frontier = {},
       linalg::simd::Precision precision = linalg::simd::Precision::kFloat64,
-      const graph::sharded::MappedGraph* mapped = nullptr,
-      linalg::IoMode io_mode = linalg::IoMode::kSync);
+      const graph::sharded::MappedGraph* mapped = nullptr);
 
   [[nodiscard]] std::size_t dim() const noexcept { return inv_deg_.size(); }
   [[nodiscard]] std::size_t block() const noexcept { return block_; }

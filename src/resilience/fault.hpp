@@ -59,7 +59,8 @@ struct FaultSpec {
 ///   graph.load         entry of an edge-list / binary graph load
 ///   shard.window       a shard window is about to be handed to compute
 ///                      (linalg::ShardPipeline::acquire, once per shard
-///                      per sweep — kills/errors land mid-pipeline)
+///                      per sweep — kills/errors land mid-pipeline, with
+///                      a compressed pack's decode worker one shard ahead)
 [[nodiscard]] std::span<const std::string_view> known_fault_sites() noexcept;
 
 /// Parses "<site>:<nth>[:abort|:error]". Throws std::invalid_argument on

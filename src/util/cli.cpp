@@ -1,8 +1,19 @@
 #include "util/cli.hpp"
 
+#include <stdexcept>
+
 #include "util/string_util.hpp"
 
 namespace socmix::util {
+
+namespace {
+
+[[noreturn]] void malformed(const std::string& name, const std::string& value,
+                            const char* expected) {
+  throw std::invalid_argument{"--" + name + "=" + value + ": expected " + expected};
+}
+
+}  // namespace
 
 Cli::Cli(int argc, const char* const* argv) {
   if (argc > 0) program_ = argv[0];
@@ -34,13 +45,17 @@ std::string Cli::get(const std::string& name, const std::string& fallback) const
 std::int64_t Cli::get_i64(const std::string& name, std::int64_t fallback) const {
   const auto it = options_.find(name);
   if (it == options_.end()) return fallback;
-  return parse_i64(it->second).value_or(fallback);
+  const auto value = parse_i64(it->second);
+  if (!value) malformed(name, it->second, "an integer");
+  return *value;
 }
 
 double Cli::get_f64(const std::string& name, double fallback) const {
   const auto it = options_.find(name);
   if (it == options_.end()) return fallback;
-  return parse_f64(it->second).value_or(fallback);
+  const auto value = parse_f64(it->second);
+  if (!value) malformed(name, it->second, "a number");
+  return *value;
 }
 
 bool Cli::get_flag(const std::string& name) const {

@@ -293,30 +293,28 @@ TEST_F(SmxgCompressedTest, HalvesAdjacencyBytes) {
 
 TEST_F(SmxgCompressedTest, DecodesBitIdenticalAdjacency) {
   const MappedGraph mapped{path_};
-  for (const linalg::IoMode mode : {linalg::IoMode::kSync, linalg::IoMode::kPrefetch}) {
-    const ShardPlan plan = ShardPlan::balanced(graph_.offsets(), 3);
-    linalg::ShardPipeline pipeline{mapped.view(), plan, &mapped, mode};
-    ASSERT_TRUE(pipeline.decodes());
-    EXPECT_GT(pipeline.scratch_bytes(), 0u);
-    // Two sweeps: the second exercises the recycled slots (and, under
-    // prefetch, the finish_sweep handoff that pre-stages shard 0).
-    for (int sweep = 0; sweep < 2; ++sweep) {
-      for (std::uint32_t s = 0; s < plan.num_shards(); ++s) {
-        const linalg::ShardWindow w = pipeline.acquire(s);
-        ASSERT_TRUE(w.local);
-        ASSERT_EQ(w.begin, plan.begin(s));
-        ASSERT_EQ(w.end, plan.end(s));
-        for (NodeId v = w.begin; v < w.end; ++v) {
-          const auto expect = graph_.neighbors(v);
-          const EdgeIndex lo = w.offsets[v - w.begin];
-          const EdgeIndex hi = w.offsets[v - w.begin + 1];
-          ASSERT_EQ(hi - lo, expect.size()) << "row " << v;
-          ASSERT_TRUE(std::equal(expect.begin(), expect.end(), w.neighbors + lo))
-              << "row " << v;
-        }
+  const ShardPlan plan = ShardPlan::balanced(graph_.offsets(), 3);
+  linalg::ShardPipeline pipeline{mapped.view(), plan, &mapped};
+  ASSERT_TRUE(pipeline.decodes());
+  EXPECT_GT(pipeline.scratch_bytes(), 0u);
+  // Two sweeps: the second exercises the recycled slots and the
+  // finish_sweep handoff that pre-stages shard 0 on the worker.
+  for (int sweep = 0; sweep < 2; ++sweep) {
+    for (std::uint32_t s = 0; s < plan.num_shards(); ++s) {
+      const linalg::ShardWindow w = pipeline.acquire(s);
+      ASSERT_TRUE(w.local);
+      ASSERT_EQ(w.begin, plan.begin(s));
+      ASSERT_EQ(w.end, plan.end(s));
+      for (NodeId v = w.begin; v < w.end; ++v) {
+        const auto expect = graph_.neighbors(v);
+        const EdgeIndex lo = w.offsets[v - w.begin];
+        const EdgeIndex hi = w.offsets[v - w.begin + 1];
+        ASSERT_EQ(hi - lo, expect.size()) << "row " << v;
+        ASSERT_TRUE(std::equal(expect.begin(), expect.end(), w.neighbors + lo))
+            << "row " << v;
       }
-      pipeline.finish_sweep();
     }
+    pipeline.finish_sweep();
   }
 }
 
@@ -353,8 +351,9 @@ TEST_F(SmxgCompressedTest, CorruptGroupIndexRejects) {
 
 TEST_F(SmxgCompressedTest, CorruptStreamFailsClosedAtDecodeTime) {
   // Skip load-time CRC verification (the fast path for huge containers)
-  // and damage a group's ctrl stream: the pipeline's pre-decode byte-count
-  // check must reject it before any value reaches a kernel.
+  // and damage a group's ctrl stream: the worker's pre-decode byte-count
+  // check must reject it before any value reaches a kernel, and acquire
+  // rethrows that error on the compute thread.
   auto bytes = slurp();
   const auto [offset, size] = adjc_extent(bytes);
   bytes[static_cast<std::size_t>(offset) + adjc::kHeadBytes] = static_cast<char>(0xff);
@@ -363,7 +362,7 @@ TEST_F(SmxgCompressedTest, CorruptStreamFailsClosedAtDecodeTime) {
   options.verify = false;
   const MappedGraph mapped{path_, options};
   const ShardPlan plan = ShardPlan::balanced(graph_.offsets(), 2);
-  linalg::ShardPipeline pipeline{mapped.view(), plan, &mapped, linalg::IoMode::kSync};
+  linalg::ShardPipeline pipeline{mapped.view(), plan, &mapped};
   try {
     const linalg::ShardWindow w = pipeline.acquire(0);
     (void)w;

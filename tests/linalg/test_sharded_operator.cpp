@@ -92,9 +92,9 @@ TEST(ShardedWalkOperator, LanczosSpectrumIdenticalThroughMappedContainer) {
 
 TEST(ShardedWalkOperator, LanczosSpectrumIdenticalThroughCompressedPrefetch) {
   // The spectral analogue of the sampled-mixing pipeline matrix: a
-  // compressed (ADJC) container under the prefetch worker decodes
-  // window-by-window into exactly the spectrum the dense in-memory
-  // operator computes — io-mode and compression never move a bit.
+  // compressed (ADJC) container, decoded window-by-window on the pipeline
+  // worker, yields exactly the spectrum the dense in-memory operator
+  // computes — compression never moves a bit.
   const graph::Graph g = test_graph();
   const fs::path path = fs::path{testing::TempDir()} / "sharded_operator_adjc.smxg";
   graph::sharded::WriteOptions compress;
@@ -110,18 +110,14 @@ TEST(ShardedWalkOperator, LanczosSpectrumIdenticalThroughCompressedPrefetch) {
   const WalkOperator dense{g, 0.0};
   const auto dense_spectrum = slem_spectrum(dense, options);
 
-  for (const IoMode io : {IoMode::kSync, IoMode::kPrefetch}) {
-    const ShardedWalkOperator sharded{
-        mapped.view(), graph::ShardPlan::balanced(mapped.view().offsets(), 4),
-        0.0, &mapped, io};
-    const auto sharded_spectrum = slem_spectrum(sharded, options);
-    EXPECT_EQ(sharded_spectrum.slem, dense_spectrum.slem) << io_mode_name(io);
-    EXPECT_EQ(sharded_spectrum.lambda2, dense_spectrum.lambda2) << io_mode_name(io);
-    EXPECT_EQ(sharded_spectrum.lambda_min, dense_spectrum.lambda_min)
-        << io_mode_name(io);
-    EXPECT_EQ(sharded_spectrum.iterations, dense_spectrum.iterations)
-        << io_mode_name(io);
-  }
+  const ShardedWalkOperator sharded{
+      mapped.view(), graph::ShardPlan::balanced(mapped.view().offsets(), 4), 0.0,
+      &mapped};
+  const auto sharded_spectrum = slem_spectrum(sharded, options);
+  EXPECT_EQ(sharded_spectrum.slem, dense_spectrum.slem);
+  EXPECT_EQ(sharded_spectrum.lambda2, dense_spectrum.lambda2);
+  EXPECT_EQ(sharded_spectrum.lambda_min, dense_spectrum.lambda_min);
+  EXPECT_EQ(sharded_spectrum.iterations, dense_spectrum.iterations);
   std::remove(path.string().c_str());
 }
 

@@ -6,9 +6,9 @@
 //  * composed with the frontier phase, the rcm reordering, and mixed
 //    precision;
 //  * through a packed .smxg container mapped back as a borrowed graph,
-//    raw or compressed (ADJC), under --io-mode sync and prefetch;
+//    raw or compressed (ADJC, decoded ahead on the pipeline worker);
 //  * across a fault-injected kill and checkpoint resume under sharding,
-//    including a kill at a shard boundary mid-prefetch;
+//    including a kill at a shard boundary mid-decode;
 //  * and a snapshot written under a foreign shard geometry is classified
 //    stale and recomputed, never replayed.
 #include <gtest/gtest.h>
@@ -140,11 +140,11 @@ TEST(ShardParity, ComposesWithFrontierReorderAndMixedPrecision) {
 }
 
 TEST(ShardParity, PipelineMatrixBitIdenticalToDenseOnEveryTable1Config) {
-  // The PR-9 pipeline contract: io-mode (sync vs prefetch worker) and
-  // adjacency representation (raw ADJ4 vs decoded ADJC) are pure I/O
-  // knobs. Every Table-1 generator config, both containers, shard counts
-  // {1, 4, 16}, serial and contended threads, both io modes — all
-  // bit-identical to the dense in-memory engine.
+  // The pipeline contract: the adjacency representation (raw ADJ4 staged
+  // inline vs ADJC decoded on the worker) changes no bit. Every Table-1
+  // generator config, both containers, shard counts {1, 4, 16}, serial
+  // and contended threads — all bit-identical to the dense in-memory
+  // engine.
   std::size_t dataset_index = 0;
   for (const gen::DatasetSpec& spec : gen::table1_datasets()) {
     const std::string tag = std::to_string(dataset_index++);
@@ -171,22 +171,16 @@ TEST(ShardParity, PipelineMatrixBitIdenticalToDenseOnEveryTable1Config) {
       const graph::sharded::MappedGraph& mapped = compressed ? adjc : raw;
       for (const std::uint32_t count : {1u, 4u, 16u}) {
         for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
-          for (const linalg::IoMode io :
-               {linalg::IoMode::kSync, linalg::IoMode::kPrefetch}) {
-            util::set_thread_count(threads);
-            SampledMixingOptions options = base_options();
-            options.sharded = shards(count);
-            options.mapped = &mapped;
-            options.io_mode = io;
-            const SampledMixing sharded = run(mapped.view(), sources, options);
-            util::set_thread_count(0);
-            expect_bitwise_equal(
-                dense, sharded,
-                spec.name + (compressed ? " adjc" : " raw") +
-                    " shards=" + std::to_string(count) +
-                    " threads=" + std::to_string(threads) + " io=" +
-                    linalg::io_mode_name(io));
-          }
+          util::set_thread_count(threads);
+          SampledMixingOptions options = base_options();
+          options.sharded = shards(count);
+          options.mapped = &mapped;
+          const SampledMixing sharded = run(mapped.view(), sources, options);
+          util::set_thread_count(0);
+          expect_bitwise_equal(dense, sharded,
+                               spec.name + (compressed ? " adjc" : " raw") +
+                                   " shards=" + std::to_string(count) +
+                                   " threads=" + std::to_string(threads));
         }
       }
     }
@@ -194,6 +188,44 @@ TEST(ShardParity, PipelineMatrixBitIdenticalToDenseOnEveryTable1Config) {
     std::remove(adjc_path.c_str());
   }
 }
+
+#if SOCMIX_OBS_ENABLED
+TEST(ShardParity, StagingFollowsTheContainer) {
+  // No option picks the staging: a compressed pack decodes ahead on the
+  // pipeline worker, a raw mapped pack stages inline and never does.
+  const auto spec = gen::find_dataset("Physics 1");
+  const graph::Graph g = gen::build_dataset(*spec, kNodes, 19);
+  const auto sources = spread_sources(g);
+  const fs::path dir = fs::path{testing::TempDir()};
+  const std::string raw_path = (dir / "staging_raw.smxg").string();
+  const std::string adjc_path = (dir / "staging_adjc.smxg").string();
+  const graph::ShardPlan pack_plan = graph::ShardPlan::balanced(g.offsets(), 4);
+  graph::sharded::write_smxg_file(raw_path, g, pack_plan);
+  graph::sharded::WriteOptions compress;
+  compress.compress = true;
+  graph::sharded::write_smxg_file(adjc_path, g, pack_plan, compress);
+
+  const auto issued_during = [&](const std::string& path) {
+    const auto issued = [] {
+      for (const auto& counter : obs::Registry::instance().snapshot().counters) {
+        if (counter.name == "markov.shard.prefetch_issued") return counter.value;
+      }
+      return std::uint64_t{0};
+    };
+    const graph::sharded::MappedGraph mapped{path};
+    SampledMixingOptions options = base_options();
+    options.sharded = shards(4);
+    options.mapped = &mapped;
+    const std::uint64_t before = issued();
+    (void)run(mapped.view(), sources, options);
+    return issued() - before;
+  };
+  EXPECT_EQ(issued_during(raw_path), 0u);
+  EXPECT_GT(issued_during(adjc_path), 0u);
+  std::remove(raw_path.c_str());
+  std::remove(adjc_path.c_str());
+}
+#endif
 
 TEST(ShardParity, CompressedRejectsFrontierlessPreconditions) {
   // The compressed gating: reordering and an explicitly enabled frontier
@@ -334,12 +366,12 @@ TEST_F(ShardResumeTest, KilledShardedRunResumesBitIdenticalToDense) {
 }
 
 TEST_F(ShardResumeTest, KilledMidPrefetchAcrossShardBoundaryResumesBitIdentical) {
-  // The PR-9 resilience case: kill a compressed prefetch run at a shard
-  // boundary — the "shard.window" fault site fires inside
-  // ShardPipeline::acquire, i.e. exactly where compute crosses from one
-  // shard's window to the next while the worker thread is mid-stage on
-  // the window after it. The pipeline (and its worker) must unwind
-  // cleanly, and the resumed run must land on the dense run's exact bits.
+  // The resilience case: kill a compressed run at a shard boundary — the
+  // "shard.window" fault site fires inside ShardPipeline::acquire, i.e.
+  // exactly where compute crosses from one shard's window to the next
+  // while the decode worker is mid-stage on the window after it. The
+  // pipeline (and its worker) must unwind cleanly, and the resumed run
+  // must land on the dense run's exact bits.
   const auto spec = gen::find_dataset("Physics 1");
   const graph::Graph g = gen::build_dataset(*spec, kNodes, 13);
   const fs::path pack = fs::path{testing::TempDir()} / "resume_prefetch.smxg";
@@ -354,23 +386,17 @@ TEST_F(ShardResumeTest, KilledMidPrefetchAcrossShardBoundaryResumesBitIdentical)
   dense_options.sharded = graph::ShardPolicy{.mode = graph::ShardPolicy::Mode::kOff};
   const SampledMixing dense = run(g, sources, dense_options);
 
-  const auto prefetch_options = [&] {
-    SampledMixingOptions opts = options(4);
-    opts.mapped = &mapped;
-    opts.io_mode = linalg::IoMode::kPrefetch;
-    return opts;
-  };
+  SampledMixingOptions packed = options(4);
+  packed.mapped = &mapped;
   // 3 blocks x kSteps sweeps x 4 shards of acquire calls; the 150th lands
   // mid-run, past the first checkpointed blocks.
   resilience::arm_fault("shard.window:150:error");
-  EXPECT_THROW(measure_sampled_mixing(mapped.view(), sources, prefetch_options()),
+  EXPECT_THROW(measure_sampled_mixing(mapped.view(), sources, packed),
                resilience::InjectedFault);
   resilience::disarm_faults();
 
-  const SampledMixing resumed =
-      measure_sampled_mixing(mapped.view(), sources, prefetch_options());
-  expect_bitwise_equal(dense, resumed,
-                       "resumed compressed prefetch vs uninterrupted dense");
+  const SampledMixing resumed = measure_sampled_mixing(mapped.view(), sources, packed);
+  expect_bitwise_equal(dense, resumed, "resumed compressed vs uninterrupted dense");
   std::remove(pack.string().c_str());
 }
 

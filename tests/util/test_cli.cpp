@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 namespace socmix::util {
 namespace {
 
@@ -45,9 +48,15 @@ TEST(Cli, FallbacksWhenAbsent) {
   EXPECT_DOUBLE_EQ(cli.get_f64("missing", 2.5), 2.5);
 }
 
-TEST(Cli, FallbackOnUnparsableValue) {
-  const Cli cli = make({"--seed=abc"});
-  EXPECT_EQ(cli.get_i64("seed", 5), 5);
+TEST(Cli, ThrowsOnUnparsableValue) {
+  const Cli cli = make({"--seed=abc", "--scale", "x1"});
+  EXPECT_THROW((void)cli.get_i64("seed", 5), std::invalid_argument);
+  EXPECT_THROW((void)cli.get_f64("scale", 1.0), std::invalid_argument);
+  try {
+    (void)cli.get_i64("seed", 5);
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string{e.what()}.find("--seed=abc"), std::string::npos) << e.what();
+  }
 }
 
 TEST(Cli, CollectsPositionalArguments) {

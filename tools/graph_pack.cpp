@@ -12,7 +12,8 @@
 // parse cost; the sharded engines stream it window-at-a-time. --compress
 // emits the adjacency as the delta + stream-vbyte ADJC section (format
 // version 2, roughly half the bytes per edge; see sharded/adjc.hpp), which
-// the measurement decodes shard-wise through linalg::ShardPipeline.
+// the measurement decodes shard-wise, one shard ahead of compute on a
+// worker thread, through linalg::ShardPipeline.
 //
 // The --edges path converts text to CSR in two streaming passes over the
 // file (count degrees, then fill rows) instead of materializing an edge

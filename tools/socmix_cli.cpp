@@ -59,8 +59,6 @@ int usage() {
       "          --frontier auto|off|FRAC        adaptive frontier-sparse sweeps\n"
       "          --precision f64|mixed           sampled-walk kernel precision\n"
       "          --sharded auto|off|N            shard-at-a-time out-of-core sweeps\n"
-      "          --io-mode sync|prefetch         stage shard windows inline or on a\n"
-      "                                          prefetch thread (same results)\n"
       "          (SOCMIX_SIMD=avx512|avx2|scalar forces the simd kernel tier)\n"
       "  info                                    structural report\n"
       "  measure [--sources N] [--steps N] [--eps X] [--tvd-out FILE]\n"
@@ -201,7 +199,6 @@ int cmd_measure(const util::Cli& cli, const resilience::CheckpointOptions& check
   options.precision = core::precision_from_cli(cli);
   options.sharded = core::sharded_from_cli(cli);
   options.mapped = input.mapped_ptr();
-  options.io_mode = core::io_mode_from_cli(cli);
   const std::string spectral = cli.get("spectral", "on");
   if (spectral == "on" || spectral == "off") {
     options.spectral = spectral == "on";
