@@ -45,7 +45,9 @@ int main(int argc, char** argv) {
   const std::size_t max_steps = config.max_steps != 0 ? config.max_steps : 120;
 
   std::vector<graph::NodeId> sizes;
-  for (const auto token : util::split(cli.get("sizes", "4000,12000,36000"), ',')) {
+  // split() returns views into its argument, so the string must outlive the loop.
+  const std::string size_list = cli.get("sizes", "4000,12000,36000");
+  for (const auto token : util::split(size_list, ',')) {
     if (const auto v = util::parse_i64(token)) {
       sizes.push_back(static_cast<graph::NodeId>(*v));
     }

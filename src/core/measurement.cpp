@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "bench_harness/harness.hpp"
-#include "linalg/sharded_walk_operator.hpp"
 #include "linalg/walk_operator.hpp"
 #include "obs/obs.hpp"
 #include "util/rng.hpp"
@@ -40,23 +39,13 @@ MixingReport measure_mixing(const graph::Graph& g, std::string name,
     // the iteration count, even though the sampled phase reorders again.)
     const graph::ReorderedGraph reordered = graph::reorder_graph(g, options.reorder);
     const graph::Graph& active = reordered.active(g);
-    const std::uint32_t shards = graph::resolve_shard_count(
-        options.sharded, active.memory_bytes(), active.num_nodes(),
-        headless ? 3u : 2u);
-    linalg::SpectrumResult spectrum;
-    if (shards > 1 || headless) {
-      // Shard geometry never changes an output bit (rows are independent
-      // under spmv); this branch only bounds the CSR residency. Headless
-      // graphs take it unconditionally: only the shard pipeline knows how
-      // to materialize their adjacency.
-      const linalg::ShardedWalkOperator op{
-          active, graph::ShardPlan::balanced(active.offsets(), shards),
-          options.laziness, reordered.identity() ? options.mapped : nullptr};
-      spectrum = linalg::slem_spectrum(op, options.lanczos);
-    } else {
-      const linalg::WalkOperator op{active, options.laziness};
-      spectrum = linalg::slem_spectrum(op, options.lanczos);
-    }
+    // Shard geometry never changes an output bit (rows are independent
+    // under spmv); it only bounds the CSR residency. A headless graph's
+    // adjacency exists only as the windows its pipeline decodes.
+    const linalg::WalkOperator op{active, options.laziness,
+                                  graph::resolve_shard_plan(options.sharded, active),
+                                  reordered.identity() ? options.mapped : nullptr};
+    const linalg::SpectrumResult spectrum = linalg::slem_spectrum(op, options.lanczos);
     report.spectral_ran = true;
     report.spectral_converged = spectrum.converged;
     report.slem = spectrum.slem;

@@ -5,7 +5,7 @@
 // with a graph.io.* metric, see format.hpp), then exposes the on-disk
 // arrays as a borrowed graph::Graph with zero copies: the kernels index
 // the file's pages directly and the OS pages them in on demand. The
-// sharded engines drive residency explicitly — advise_rows(WILLNEED) on
+// walk engines drive residency explicitly — advise_rows(WILLNEED) on
 // the shard about to be swept, release_rows(DONTNEED) on the one just
 // finished — so a graph far larger than RAM streams through a bounded
 // window instead of thrashing. madvise failures are counted

@@ -83,6 +83,12 @@ ShardPlan ShardPlan::balanced(std::span<const EdgeIndex> offsets, std::uint32_t 
   return plan;
 }
 
+ShardPlan resolve_shard_plan(const ShardPolicy& policy, const Graph& g) {
+  const std::uint32_t shards = resolve_shard_count(
+      policy, g.memory_bytes(), g.num_nodes(), g.headless() ? 3u : 2u);
+  return ShardPlan::balanced(g.offsets(), shards);
+}
+
 EdgeIndex count_boundary_half_edges(const Graph& g, const ShardPlan& plan) {
   const std::uint32_t shards = plan.num_shards();
   if (shards <= 1) return 0;

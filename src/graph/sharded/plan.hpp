@@ -3,19 +3,23 @@
 // A shard is a contiguous vertex range [bounds[s], bounds[s+1]) together
 // with the CSR edge span those rows own. Contiguity is what makes the
 // out-of-core sweep work: one shard's offsets/neighbors occupy one
-// contiguous byte window of a `.smxg` file, so the sharded engines can
-// madvise(WILLNEED) the next window and madvise(DONTNEED) the previous
-// one while sweeping the current shard, keeping CSR residency near one
-// shard regardless of graph size (see DESIGN.md "Sharded out-of-core
-// evolution"). Shards partition rows, rows are independent within a
-// sweep, and every kernel row body is unchanged — so shard geometry can
-// never change an output bit, only the order pages stream from disk.
+// contiguous byte window of a `.smxg` file, so the walk engines
+// (markov::BatchedEvolver, linalg::WalkOperator) can madvise(WILLNEED)
+// the next window and madvise(DONTNEED) the previous one while sweeping
+// the current shard, keeping CSR residency near one shard regardless of
+// graph size (see DESIGN.md "Sharded out-of-core evolution"). Shards
+// partition rows, rows are independent within a sweep, and every kernel
+// row body is unchanged — so shard geometry can never change an output
+// bit, only the order pages stream from disk. An in-memory graph is the
+// one-shard plan.
 //
 // ShardPolicy is the user-facing knob (--sharded auto|off|N): `auto`
 // targets a fixed per-shard CSR byte budget (small graphs resolve to one
-// shard, i.e. the dense in-memory path), `off` forces dense, `N` forces a
-// shard count. The resolved count feeds shard_context_word so block
-// checkpoints written under a different geometry classify stale.
+// shard, i.e. the in-memory sweep), `off` forces one shard, `N` forces a
+// shard count. resolve_shard_plan turns a policy into the plan both
+// measurement phases and the admission sweep use; its shard count feeds
+// shard_context_word so block checkpoints written under a different
+// geometry classify stale.
 #pragma once
 
 #include <cstdint>
@@ -104,6 +108,14 @@ struct ShardPlan {
   [[nodiscard]] static ShardPlan balanced(std::span<const EdgeIndex> offsets,
                                           std::uint32_t shards);
 };
+
+/// The plan the walk engines sweep `g` under: `policy` resolved against
+/// g's CSR footprint, split by ShardPlan::balanced. A headless `g`
+/// (compressed container) keeps three adjacency copies of a staged window
+/// live — two decoded scratch slots plus the mapped ADJC bytes — so `auto`
+/// sizes its shards for resident_copies = 3. A one-shard result is the
+/// in-memory sweep, whose shard_context_word is 0.
+[[nodiscard]] ShardPlan resolve_shard_plan(const ShardPolicy& policy, const Graph& g);
 
 /// Half-edges (u, v) whose endpoints live in different shards of `plan` —
 /// the state that conceptually crosses shard boundaries each sweep (the

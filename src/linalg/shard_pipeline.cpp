@@ -32,7 +32,12 @@ ShardPipeline::ShardPipeline(const graph::Graph& g, graph::ShardPlan plan,
     throw std::invalid_argument{
         "ShardPipeline: a headless graph needs its compressed MappedGraph"};
   }
-  if (!compressed_) return;
+  if (!compressed_) {
+    // One raw window is the whole CSR: advising and releasing it every
+    // sweep would only refault it.
+    if (plan_.num_shards() <= 1) mapped_ = nullptr;
+    return;
+  }
   // Size both scratch slots for the worst shard now, so staging never
   // allocates: the largest group-aligned value span and row count any
   // shard's window covers.

@@ -1,8 +1,10 @@
 // Double-buffered shard window pipeline: hide decoding behind compute.
 //
-// The sharded engines (markov::ShardedBatchedEvolver, linalg::
-// ShardedWalkOperator) sweep a CSR one contiguous shard at a time. How a
-// shard's window is staged follows from the input alone; there is no knob:
+// The walk engines (markov::BatchedEvolver, linalg::WalkOperator) take
+// every window of the CSR from here and sweep it one contiguous shard at a
+// time; an in-memory graph is the one-shard plan whose window is the whole
+// CSR. How a shard's window is staged follows from the input alone; there
+// is no knob:
 //
 //   - compressed (ADJC) container: one dedicated worker thread decodes
 //     shard k+1's groups into the other of two scratch slots while compute
@@ -13,7 +15,8 @@
 //   - raw mapped container: staged inline. acquire advises shard k+1
 //     (madvise(WILLNEED)) and releases shard k-1; the kernel's readahead
 //     overlaps the device side, so a worker touching pages ahead wins
-//     nothing measurable.
+//     nothing measurable. Under a one-shard plan there is nothing to
+//     window: the mapping is read like an in-memory graph.
 //   - in-memory graph: nothing to stage.
 //
 // DESIGN.md "Shard pipeline & compression" has the measurements behind
@@ -94,6 +97,13 @@ class ShardPipeline {
   /// returns local windows and the engine must use the rebased kernel
   /// call; also implies the frontier optimization is unavailable.
   [[nodiscard]] bool decodes() const noexcept { return compressed_; }
+  /// True when a sweep is more than one in-memory window: the plan has
+  /// several shards or windows are decoded. Only then do the engines pay
+  /// for the markov.shard.* / linalg.spmv.sharded_* accounting.
+  [[nodiscard]] bool out_of_core() const noexcept {
+    return compressed_ || plan_.num_shards() > 1;
+  }
+  [[nodiscard]] const graph::ShardPlan& plan() const noexcept { return plan_; }
   /// Bytes of decode scratch held across both slots (0 uncompressed).
   [[nodiscard]] std::size_t scratch_bytes() const noexcept { return scratch_bytes_; }
 

@@ -184,7 +184,7 @@ void reset_tier() noexcept;
 /// the spmm kernels compute on the same stored state — swept rows store
 /// exactly the value the fused term subtracts pi from, and skipped
 /// frontier rows hold +0.0 so |0 - pi_j| reproduces the pi-gap term bit
-/// for bit. The sharded engines use this after sweeping all shards with
+/// for bit. The walk engines use this after sweeping several shards with
 /// pi == null. One scalar implementation serves every tier: the
 /// reduction is adds and fabs only, with nothing tier-specific to pin.
 void tvd_f64(const double* state, std::size_t stride, std::size_t lanes,

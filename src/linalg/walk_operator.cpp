@@ -1,6 +1,5 @@
 #include "linalg/walk_operator.hpp"
 
-#include <cassert>
 #include <cmath>
 #include <stdexcept>
 
@@ -10,12 +9,18 @@
 
 namespace socmix::linalg {
 
-WalkOperator::WalkOperator(const graph::Graph& g, double laziness)
+WalkOperator::WalkOperator(const graph::Graph& g, double laziness,
+                           std::optional<graph::ShardPlan> plan,
+                           const graph::sharded::MappedGraph* mapped)
     : graph_(&g), laziness_(laziness) {
   if (laziness < 0.0 || laziness >= 1.0) {
     throw std::invalid_argument{"WalkOperator: laziness must be in [0, 1)"};
   }
   const graph::NodeId n = g.num_nodes();
+  if (!plan) plan = graph::ShardPlan::single(n);
+  if (plan->dim() != n || plan->num_shards() == 0) {
+    throw std::invalid_argument{"WalkOperator: plan does not cover the graph"};
+  }
   inv_sqrt_deg_.resize(n);
   for (graph::NodeId v = 0; v < n; ++v) {
     const graph::NodeId d = g.degree(v);
@@ -27,17 +32,15 @@ WalkOperator::WalkOperator(const graph::Graph& g, double laziness)
     inv_sqrt_deg_[v] = 1.0 / std::sqrt(static_cast<double>(d));
   }
   scaled_.resize(n);
+  pipeline_ = std::make_unique<ShardPipeline>(g, std::move(*plan), mapped);
 }
 
 void WalkOperator::apply(std::span<const double> x, std::span<double> y) const {
   SOCMIX_TRACE_SPAN("spmv.apply");
-  const graph::Graph& g = *graph_;
-  const graph::NodeId n = g.num_nodes();
+  const graph::NodeId n = graph_->num_nodes();
   SOCMIX_COUNTER_ADD("linalg.spmv.applies", 1);
   SOCMIX_COUNTER_ADD("linalg.spmv.rows", n);
-  const auto offsets = g.offsets();
-  const auto neighbors = g.raw_neighbors();
-  const double walk_weight = 1.0 - laziness_;
+  if (pipeline_->out_of_core()) SOCMIX_COUNTER_ADD("linalg.spmv.sharded_applies", 1);
 
   // (N x)_i = (1/sqrt d_i) * sum_{j ~ i} x_j / sqrt d_j. The source-side
   // scaling is hoisted out of the edge loop: one streaming pass computes
@@ -54,53 +57,34 @@ void WalkOperator::apply(std::span<const double> x, std::span<double> y) const {
   util::parallel_for(0, n, kApplyGrain, [&](std::size_t lo, std::size_t hi) {
     kernels.prescale_f64(x.data(), inv_sqrt_deg_.data(), scaled, lo, hi);
   });
-  simd::SpmvArgs args;
-  args.offsets = offsets.data();
-  args.neighbors = neighbors.data();
-  args.gather = scaled;
-  args.x = x.data();
-  args.y = y.data();
-  args.walk_weight = walk_weight;
-  args.laziness = laziness_;
-  args.row_scale = inv_sqrt_deg_.data();
-  util::parallel_for(0, n, kApplyGrain, [&](std::size_t row_lo, std::size_t row_hi) {
-    kernels.spmv(args, static_cast<graph::NodeId>(row_lo),
-                 static_cast<graph::NodeId>(row_hi));
-  });
-}
+  simd::SpmvArgs base;
+  base.gather = scaled;
+  base.walk_weight = 1.0 - laziness_;
+  base.laziness = laziness_;
 
-void WalkOperator::apply_rows(std::span<const double> x, std::span<double> y,
-                              std::span<const graph::RowRange> ranges) const {
-  SOCMIX_TRACE_SPAN("spmv.apply_rows");
-  const graph::Graph& g = *graph_;
-  const graph::NodeId n = g.num_nodes();
-  const auto offsets = g.offsets();
-  const auto neighbors = g.raw_neighbors();
-  const double walk_weight = 1.0 - laziness_;
-
-  // Same prescale as apply() — the row restriction only limits which y[i]
-  // are produced, not which x[j] a row may gather.
-  double* const scaled = scaled_.data();
-  const simd::KernelTable& kernels = simd::dispatch();
-  util::parallel_for(0, n, kApplyGrain, [&](std::size_t lo, std::size_t hi) {
-    kernels.prescale_f64(x.data(), inv_sqrt_deg_.data(), scaled, lo, hi);
-  });
-  simd::SpmvArgs args;
-  args.offsets = offsets.data();
-  args.neighbors = neighbors.data();
-  args.gather = scaled;
-  args.x = x.data();
-  args.y = y.data();
-  args.walk_weight = walk_weight;
-  args.laziness = laziness_;
-  args.row_scale = inv_sqrt_deg_.data();
-  graph::NodeId rows = 0;
-  for (const graph::RowRange r : ranges) {
-    rows += r.end - r.begin;
-    kernels.spmv(args, r.begin, r.end);
+  // Shards group the rows; no row's result depends on the grouping. An
+  // in-memory graph is one shard whose window is the absolute CSR.
+  const std::uint32_t shards = pipeline_->plan().num_shards();
+  for (std::uint32_t s = 0; s < shards; ++s) {
+    const ShardWindow w = pipeline_->acquire(s);
+    simd::SpmvArgs args = base;
+    args.offsets = w.offsets;
+    args.neighbors = w.neighbors;
+    // A decoded window is window-local: kernel row j is absolute row
+    // w.begin + j, so the per-row pointers are rebased while the gather
+    // source stays absolute (neighbor ids are absolute). Same per-row FP
+    // sequence, shifted pointers.
+    const graph::NodeId bias = w.local ? w.begin : 0;
+    args.x = x.data() + bias;
+    args.y = y.data() + bias;
+    args.row_scale = inv_sqrt_deg_.data() + bias;
+    util::parallel_for(w.begin - bias, w.end - bias, kApplyGrain,
+                       [&](std::size_t row_lo, std::size_t row_hi) {
+                         kernels.spmv(args, static_cast<graph::NodeId>(row_lo),
+                                      static_cast<graph::NodeId>(row_hi));
+                       });
   }
-  SOCMIX_COUNTER_ADD("linalg.spmv.applies", 1);
-  SOCMIX_COUNTER_ADD("linalg.spmv.rows", rows);
+  pipeline_->finish_sweep();
 }
 
 std::vector<double> WalkOperator::top_eigenvector() const {

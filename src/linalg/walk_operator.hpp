@@ -10,13 +10,27 @@
 // A lazy-walk variant (I + N)/2 is provided for graphs whose simple walk is
 // periodic (bipartite components), mirroring the standard lazy chain
 // (I + P)/2 whose spectrum is the affine map (1 + lambda)/2.
+//
+// Out-of-core graphs (--sharded, --pack): apply() sweeps the CSR one
+// contiguous vertex shard at a time through a ShardPipeline, which stages
+// each shard's window (madvise windowing for a raw pack, ADJC decode on a
+// worker thread for a compressed one), so Lanczos runs on a memory-mapped
+// graph with the adjacency residency near two shards. An in-memory graph
+// is the one-shard plan, whose window is the whole CSR. Rows are
+// independent and every row runs the identical spmv kernel, so shard
+// geometry and compression never change an output bit (tests/linalg/
+// test_sharded_operator.cpp).
 #pragma once
 
+#include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
-#include "graph/frontier.hpp"
 #include "graph/graph.hpp"
+#include "graph/sharded/mapped_graph.hpp"
+#include "graph/sharded/plan.hpp"
+#include "linalg/shard_pipeline.hpp"
 
 namespace socmix::linalg {
 
@@ -28,24 +42,21 @@ class WalkOperator {
  public:
   /// laziness alpha in [0, 1): the operator is (1-alpha) N + alpha I.
   /// alpha = 0 is the simple walk; alpha = 0.5 the standard lazy walk.
-  explicit WalkOperator(const graph::Graph& g, double laziness = 0.0);
+  /// `plan` (default: one shard) must cover the graph with >= 1 shard.
+  /// `mapped`, when non-null, must back `g` and outlive the operator; it
+  /// enables the madvise windowing. A headless `g` (compressed container)
+  /// requires its `mapped`.
+  explicit WalkOperator(const graph::Graph& g, double laziness = 0.0,
+                        std::optional<graph::ShardPlan> plan = std::nullopt,
+                        const graph::sharded::MappedGraph* mapped = nullptr);
 
   /// y = Op * x. x and y must have size dim() and not alias. Rows are
   /// partitioned across the util::parallel pool; the gather formulation
-  /// keeps the result bit-identical for any thread count. Uses an internal
-  /// scratch buffer (the pre-scaled source vector), so concurrent apply()
-  /// calls on the *same* operator are not allowed — concurrent operators
-  /// on one graph are fine.
+  /// keeps the result bit-identical for any thread count and shard plan.
+  /// Uses an internal scratch buffer (the pre-scaled source vector) and
+  /// the shard pipeline, so concurrent apply() calls on the *same*
+  /// operator are not allowed — concurrent operators on one graph are fine.
   void apply(std::span<const double> x, std::span<double> y) const;
-
-  /// Frontier variant of apply(): computes y[i] for the rows inside
-  /// `ranges` (sorted, disjoint — typically graph::FrontierSet::ranges())
-  /// with the identical full-row gather, and leaves every other row of y
-  /// untouched. The prescale still streams all of x (gather sources are
-  /// unrestricted), so the saving is the skipped row gathers. Bit-identical
-  /// to apply() on the covered rows. Same scratch caveat as apply().
-  void apply_rows(std::span<const double> x, std::span<double> y,
-                  std::span<const graph::RowRange> ranges) const;
 
   /// Minimum rows per parallel chunk: below this, dispatch overhead beats
   /// the work, so small graphs run inline on the calling thread.
@@ -73,6 +84,9 @@ class WalkOperator {
   /// apply() scratch: the pre-scaled source x[j] * inv_sqrt_deg_[j], so
   /// the edge loop is a single gather. Sized n at construction.
   mutable std::vector<double> scaled_;
+  /// unique_ptr: the pipeline owns a worker thread and is neither
+  /// copyable nor movable; the operator stays movable through it.
+  std::unique_ptr<ShardPipeline> pipeline_;
   double laziness_;
 };
 

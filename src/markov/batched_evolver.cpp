@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <stdexcept>
+#include <type_traits>
+#include <utility>
 
 #include "obs/obs.hpp"
 
@@ -10,11 +12,18 @@ namespace socmix::markov {
 
 BatchedEvolver::BatchedEvolver(const graph::Graph& g, double laziness, std::size_t block,
                                graph::FrontierPolicy frontier,
-                               linalg::simd::Precision precision)
+                               linalg::simd::Precision precision,
+                               std::optional<graph::ShardPlan> plan,
+                               const graph::sharded::MappedGraph* mapped)
     : graph_(&g), laziness_(laziness), block_(block), precision_(precision),
       policy_(frontier) {
   if (laziness < 0.0 || laziness >= 1.0) {
     throw std::invalid_argument{"BatchedEvolver: laziness must be in [0, 1)"};
+  }
+  if (g.headless() && policy_.enabled()) {
+    throw std::invalid_argument{
+        "BatchedEvolver: the frontier optimization needs in-memory adjacency; "
+        "disable it for compressed containers"};
   }
   if (block < 1 || block > kMaxBlock) {
     throw std::invalid_argument{"BatchedEvolver: block must be in [1, kMaxBlock]"};
@@ -24,6 +33,10 @@ BatchedEvolver::BatchedEvolver(const graph::Graph& g, double laziness, std::size
     throw std::invalid_argument{"BatchedEvolver: frontier threshold must be in (0, 1]"};
   }
   const graph::NodeId n = g.num_nodes();
+  if (!plan) plan = graph::ShardPlan::single(n);
+  if (plan->dim() != n || plan->num_shards() == 0) {
+    throw std::invalid_argument{"BatchedEvolver: plan does not cover the graph"};
+  }
   inv_deg_.resize(n);
   for (graph::NodeId v = 0; v < n; ++v) {
     const graph::NodeId d = g.degree(v);
@@ -49,6 +62,28 @@ BatchedEvolver::BatchedEvolver(const graph::Graph& g, double laziness, std::size
     switch_rows_ = std::max<graph::NodeId>(
         1, static_cast<graph::NodeId>(policy_.row_fraction() * static_cast<double>(n)));
   }
+  pipeline_ = std::make_unique<linalg::ShardPipeline>(g, std::move(*plan), mapped);
+#if SOCMIX_OBS_ENABLED
+  if (pipeline_->out_of_core()) {
+    // One sequential CSR pass prices the boundary-exchange metric. A
+    // headless view has no in-memory adjacency to walk: the metric reads
+    // 0 there rather than decoding the whole container to price it.
+    const graph::ShardPlan& shards = pipeline_->plan();
+    if (!g.headless()) {
+      boundary_half_edges_ = graph::count_boundary_half_edges(g, shards);
+    }
+    SOCMIX_GAUGE_SET("markov.shard.count", shards.num_shards());
+    SOCMIX_GAUGE_SET("markov.shard.boundary_half_edges", boundary_half_edges_);
+    if (mapped != nullptr) {
+      std::size_t window_bytes = 0;
+      for (std::uint32_t s = 0; s < shards.num_shards(); ++s) {
+        window_bytes =
+            std::max(window_bytes, mapped->window_bytes(shards.begin(s), shards.end(s)));
+      }
+      SOCMIX_GAUGE_SET("markov.shard.window_bytes", window_bytes);
+    }
+  }
+#endif
 }
 
 void BatchedEvolver::seed_point_masses(std::span<const graph::NodeId> sources) {
@@ -107,14 +142,18 @@ void BatchedEvolver::sweep(const double* pi, double* tvd_out) {
   SOCMIX_TRACE_SPAN("evolver.sweep");
   const graph::Graph& g = *graph_;
   const graph::NodeId n = g.num_nodes();
-  const double walk_weight = 1.0 - laziness_;
   const bool mixed = precision_ == linalg::simd::Precision::kMixed;
+  const graph::ShardPlan& plan = pipeline_->plan();
+  const std::uint32_t shards = plan.num_shards();
 
 #if SOCMIX_OBS_ENABLED
   // Sweep-granular accounting only: the kernels below stay untouched.
   const auto sweep_start = std::chrono::steady_clock::now();
   const bool unrolled =
       active_ == 4 || active_ == 8 || active_ == 16 || active_ == 32;
+  const bool out_of_core = pipeline_->out_of_core();
+  graph::sharded::PageFaults faults_before{};
+  if (out_of_core) faults_before = graph::sharded::process_page_faults();
 #endif
 
   // Frontier phase: grow the support closure first (next can be nonzero
@@ -143,15 +182,14 @@ void BatchedEvolver::sweep(const double* pi, double* tvd_out) {
   // Mixed precision widens each f32 cell to f64, multiplies, and rounds
   // the product once — elementwise, so identical in every kernel tier.
   const std::size_t lanes = active_;
-  if (mixed) {
-    const float* cur = cur32_.data();
-    float* scaled = scaled32_.data();
+  const auto prescale_rows = [&](const auto* cur, auto* scaled) {
+    using T = std::remove_reference_t<decltype(*scaled)>;
     const auto prescale = [&](graph::NodeId lo, graph::NodeId hi) {
       for (graph::NodeId i = lo; i < hi; ++i) {
         const double w = inv_deg_[i];
         const std::size_t base = static_cast<std::size_t>(i) * block_;
         for (std::size_t b = 0; b < lanes; ++b) {
-          scaled[base + b] = static_cast<float>(static_cast<double>(cur[base + b]) * w);
+          scaled[base + b] = static_cast<T>(static_cast<double>(cur[base + b]) * w);
         }
       }
     };
@@ -160,47 +198,92 @@ void BatchedEvolver::sweep(const double* pi, double* tvd_out) {
     } else {
       prescale(0, n);
     }
+  };
+  if (mixed) {
+    prescale_rows(cur32_.data(), scaled32_.data());
   } else {
-    const double* cur = cur_.data();
-    double* scaled = scaled_.data();
-    const auto prescale = [&](graph::NodeId lo, graph::NodeId hi) {
-      for (graph::NodeId i = lo; i < hi; ++i) {
-        const double w = inv_deg_[i];
-        const std::size_t base = static_cast<std::size_t>(i) * block_;
-        for (std::size_t b = 0; b < lanes; ++b) scaled[base + b] = cur[base + b] * w;
-      }
-    };
-    if (use_frontier) {
-      for (const graph::RowRange r : ranges) prescale(r.begin, r.end);
-    } else {
-      prescale(0, n);
-    }
+    prescale_rows(cur_.data(), scaled_.data());
   }
 
-  // One dispatch-table call per sweep. The kernel dispatches internally on
+  // One dispatch-table call per shard. The kernel dispatches internally on
   // the *active* lane count; stride stays block_, so partially filled
   // blocks (the tail of an odd source list) still hit a wide kernel when
-  // their lane count is a supported width.
-  linalg::simd::SpmmArgs args;
-  args.n = n;
-  args.offsets = g.offsets().data();
-  args.neighbors = g.raw_neighbors().data();
-  args.stride = block_;
-  args.lanes = active_;
-  args.walk_weight = walk_weight;
-  args.laziness = laziness_;
-  args.pi = pi;
-  args.tvd_out = tvd_out;
-  if (use_frontier) {
-    args.ranges = ranges.data();
-    args.num_ranges = ranges.size();
+  // their lane count is a supported width. One shard fuses the TVD into
+  // the sweep; several defer it to the standalone pass below, because a
+  // shard's kernel sees only its own rows.
+  const bool fused = shards == 1;
+  linalg::simd::SpmmArgs base;
+  base.n = n;
+  base.stride = block_;
+  base.lanes = active_;
+  base.walk_weight = 1.0 - laziness_;
+  base.laziness = laziness_;
+  if (fused) {
+    base.pi = pi;
+    base.tvd_out = tvd_out;
   }
   const linalg::simd::KernelTable& kernels = linalg::simd::dispatch();
+  for (std::uint32_t s = 0; s < shards; ++s) {
+    const graph::NodeId lo = plan.begin(s);
+    const graph::NodeId hi = plan.end(s);
+    const linalg::ShardWindow w = pipeline_->acquire(s);
+    linalg::simd::SpmmArgs args = base;
+    args.offsets = w.offsets;
+    args.neighbors = w.neighbors;
+    std::size_t row_bias = 0;
+    if (w.local) {
+      // Decoded window: rows are kernel-local ([0, hi-lo), offsets
+      // indexing the scratch neighbors), so the streamed state blocks are
+      // rebased by lo rows while the gather source stays absolute
+      // (neighbor ids are absolute). Same per-row FP sequence, shifted
+      // pointers. The frontier is off here (enforced at construction), so
+      // the shard is swept dense.
+      args.n = hi - lo;
+      row_bias = static_cast<std::size_t>(lo) * block_;
+    } else if (fused) {
+      if (use_frontier) {
+        args.ranges = ranges.data();
+        args.num_ranges = ranges.size();
+      }
+    } else {
+      // The shard's rows: closure ranges clipped to [lo, hi) (sorted
+      // disjoint stays sorted disjoint under clipping), or the whole shard.
+      shard_ranges_.clear();
+      if (use_frontier) {
+        for (const graph::RowRange r : ranges) {
+          const graph::NodeId begin = std::max(r.begin, lo);
+          const graph::NodeId end = std::min(r.end, hi);
+          if (begin < end) shard_ranges_.push_back({begin, end});
+        }
+      } else if (lo < hi) {
+        shard_ranges_.push_back({lo, hi});
+      }
+      if (shard_ranges_.empty()) continue;
+      args.ranges = shard_ranges_.data();
+      args.num_ranges = shard_ranges_.size();
+    }
+    if (mixed) {
+      kernels.spmm_mixed(args, scaled32_.data(), cur32_.data() + row_bias,
+                         next32_.data() + row_bias);
+    } else {
+      kernels.spmm_f64(args, scaled_.data(), cur_.data() + row_bias,
+                       next_.data() + row_bias);
+    }
+  }
+  pipeline_->finish_sweep();
+
+  // Deferred TVD: one ascending-row pass over the stored next state,
+  // bit-identical to the fused reduction (see linalg::simd::tvd_*).
+  if (!fused && pi != nullptr) {
+    if (mixed) {
+      linalg::simd::tvd_mixed(next32_.data(), block_, active_, pi, n, tvd_out);
+    } else {
+      linalg::simd::tvd_f64(next_.data(), block_, active_, pi, n, tvd_out);
+    }
+  }
   if (mixed) {
-    kernels.spmm_mixed(args, scaled32_.data(), cur32_.data(), next32_.data());
     cur32_.swap(next32_);
   } else {
-    kernels.spmm_f64(args, scaled_.data(), cur_.data(), next_.data());
     cur_.swap(next_);
   }
   if (!use_frontier) dense_dirty_ = true;
@@ -239,6 +322,21 @@ void BatchedEvolver::sweep(const double* pi, double* tvd_out) {
       SOCMIX_COUNTER_ADD("markov.frontier.sweeps_dense", 1);
       SOCMIX_TIME_OBSERVE("markov.frontier.dense_sweep_seconds", sweep_seconds);
     }
+  }
+  if (out_of_core) {
+    const auto faults_after = graph::sharded::process_page_faults();
+    const std::size_t state_bytes = mixed ? sizeof(float) : sizeof(double);
+    SOCMIX_COUNTER_ADD("markov.shard.sweeps", 1);
+    SOCMIX_COUNTER_ADD("markov.shard.shards_swept", shards);
+    // Cross-shard gather traffic of a dense sweep: every boundary
+    // half-edge reads one foreign lane row of the prescaled state.
+    SOCMIX_COUNTER_ADD("markov.shard.boundary_bytes",
+                       boundary_half_edges_ * active_ * state_bytes);
+    SOCMIX_COUNTER_ADD("markov.shard.mmap_minor_faults",
+                       faults_after.minor - faults_before.minor);
+    SOCMIX_COUNTER_ADD("markov.shard.mmap_major_faults",
+                       faults_after.major - faults_before.major);
+    SOCMIX_TIME_OBSERVE("markov.shard.sweep_seconds", sweep_seconds);
   }
 #endif
 }

@@ -36,14 +36,38 @@
 // float64 summation. Trajectories deviate from the f64 path only by state
 // quantization, bounded by linalg::simd::kMixedTvdBudget, and remain
 // bit-identical across kernel tiers and frontier modes.
+//
+// Out-of-core graphs (--sharded, --pack): every CSR window comes from a
+// linalg::ShardPipeline, and the sweep visits the plan's contiguous vertex
+// shards in order. An in-memory graph is the one-shard plan, whose window
+// is the whole CSR; its sweep is one fused-TVD kernel call with the
+// frontier ranges passed straight through. Under several shards each shard
+// runs the range kernel over its own rows with pi deferred, and one
+// standalone ascending-row pass (linalg::simd::tvd_f64/tvd_mixed) reduces
+// the stored state afterwards. The pipeline stages the next window while
+// a shard computes (madvise for a raw pack, ADJC decode on a worker for a
+// compressed one). Gathers of `scaled` rows owned by other shards read the
+// RAM-resident lane state directly; the markov.shard.* metrics account
+// that traffic, and only out-of-core sweeps pay for the accounting.
+// Shards partition rows, the range kernels run the dense per-row body,
+// skipped frontier rows hold exactly +0.0, and the standalone TVD
+// reproduces the fused reduction's term sequence — so shard count and
+// compression never change a bit (tests/markov/test_shard_parity.cpp).
+// Only the state block (3 x n x block values) must fit in RAM.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <optional>
 #include <span>
+#include <vector>
 
 #include "graph/frontier.hpp"
 #include "graph/graph.hpp"
+#include "graph/sharded/mapped_graph.hpp"
+#include "graph/sharded/plan.hpp"
+#include "linalg/shard_pipeline.hpp"
 #include "linalg/simd/kernels.hpp"
 #include "util/aligned.hpp"
 
@@ -63,11 +87,18 @@ class BatchedEvolver {
   static constexpr std::size_t kMaxBlock = linalg::simd::kMaxLanes;
 
   /// Throws on laziness outside [0, 1), an isolated vertex, block outside
-  /// [1, kMaxBlock], or a frontier threshold outside (0, 1].
+  /// [1, kMaxBlock], a frontier threshold outside (0, 1], or a `plan`
+  /// (default: one shard) that does not cover the graph with >= 1 shard.
+  /// `mapped`, when non-null, must back `g` and outlive the evolver; it
+  /// enables the madvise windowing. A headless `g` (compressed container)
+  /// requires its `mapped` and a disabled frontier policy (the closure
+  /// walk needs in-memory adjacency).
   explicit BatchedEvolver(
       const graph::Graph& g, double laziness = 0.0, std::size_t block = kDefaultBlock,
       graph::FrontierPolicy frontier = {},
-      linalg::simd::Precision precision = linalg::simd::Precision::kFloat64);
+      linalg::simd::Precision precision = linalg::simd::Precision::kFloat64,
+      std::optional<graph::ShardPlan> plan = std::nullopt,
+      const graph::sharded::MappedGraph* mapped = nullptr);
 
   [[nodiscard]] std::size_t dim() const noexcept { return inv_deg_.size(); }
   [[nodiscard]] std::size_t block() const noexcept { return block_; }
@@ -77,6 +108,9 @@ class BatchedEvolver {
   [[nodiscard]] linalg::simd::Precision precision() const noexcept { return precision_; }
   [[nodiscard]] const graph::FrontierPolicy& frontier_policy() const noexcept {
     return policy_;
+  }
+  [[nodiscard]] const graph::ShardPlan& plan() const noexcept {
+    return pipeline_->plan();
   }
   /// True while the engine is still sweeping only the support closure.
   [[nodiscard]] bool in_sparse_phase() const noexcept { return sparse_phase_; }
@@ -113,6 +147,9 @@ class BatchedEvolver {
   void sweep(const double* pi, double* tvd_out);
 
   const graph::Graph* graph_;
+  /// unique_ptr: the pipeline owns a worker thread and is neither
+  /// copyable nor movable; the evolver stays movable through it.
+  std::unique_ptr<linalg::ShardPipeline> pipeline_;
   util::aligned_vector<double> inv_deg_;
   // Lane-major state blocks, [dim x block]: cur_[v*block + lane]. Exactly
   // one precision's trio is allocated. 64-byte alignment makes every row
@@ -127,6 +164,9 @@ class BatchedEvolver {
   util::aligned_vector<float> cur32_;
   util::aligned_vector<float> next32_;
   util::aligned_vector<float> scaled32_;
+  /// Scratch of a multi-shard sweep: the current shard's rows (frontier
+  /// closure clipped to the shard, or the whole shard when dense).
+  std::vector<graph::RowRange> shard_ranges_;
   double laziness_;
   std::size_t block_;
   linalg::simd::Precision precision_;
@@ -146,6 +186,9 @@ class BatchedEvolver {
   std::size_t steps_since_seed_ = 0;
   std::size_t switch_step_ = 0;
   std::uint64_t rows_swept_ = 0;
+  /// Half-edges crossing shard boundaries (for the boundary-traffic
+  /// metric); counted once at construction, out-of-core and observed only.
+  graph::EdgeIndex boundary_half_edges_ = 0;
 };
 
 }  // namespace socmix::markov

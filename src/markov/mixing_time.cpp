@@ -16,7 +16,6 @@
 #include "linalg/vector_ops.hpp"
 #include "markov/batched_evolver.hpp"
 #include "markov/evolution.hpp"
-#include "markov/sharded_evolver.hpp"
 #include "markov/stationary.hpp"
 #include "obs/obs.hpp"
 #include "resilience/fault.hpp"
@@ -245,29 +244,21 @@ SampledMixing measure_sampled_mixing(const graph::Graph& g,
   // the mixed budget — replaying a mixed snapshot into an f64 run would
   // silently launder quantization error into the exact-parity path). A
   // snapshot from a foreign combination classifies stale, not corrupt.
-  // Shard geometry: resolved once against the active CSR. S <= 1 is the
-  // dense path — no plan, no context word, pre-shard snapshots stay
-  // compatible. A reordering materializes a fresh in-memory CSR, so the
-  // mmap windowing hints only apply under identity ordering.
-  // A compressed sweep keeps three adjacency copies per staged window in
-  // flight (two decoded scratch slots + the mapped ADJC bytes), so the
-  // auto shard formula gets resident_copies = 3; it also always runs the
-  // sharded engine — the dense kernels would dereference the absent
-  // neighbor array.
-  const std::uint32_t resolved_shards = graph::resolve_shard_count(
-      options.sharded, active.memory_bytes(), active.num_nodes(),
-      headless ? 3u : 2u);
-  const bool use_sharded = resolved_shards > 1 || headless;
+  // Shard geometry: resolved once against the active CSR. One shard is
+  // the in-memory sweep and folds no context word, so pre-shard snapshots
+  // stay compatible. A reordering materializes a fresh in-memory CSR, so
+  // the mmap windowing hints only apply under identity ordering.
+  const graph::ShardPlan plan = graph::resolve_shard_plan(options.sharded, active);
   const graph::sharded::MappedGraph* mapped =
       reordered.identity() ? options.mapped : nullptr;
 #if SOCMIX_OBS_ENABLED
-  SOCMIX_GAUGE_SET("markov.sampled.shards", resolved_shards);
+  SOCMIX_GAUGE_SET("markov.sampled.shards", plan.num_shards());
 #endif
   std::uint64_t context = util::hash_combine(
       util::hash_combine(static_cast<std::uint64_t>(options.reorder),
                          graph::frontier_context_word(frontier)),
       linalg::simd::precision_context_word(options.precision));
-  const std::uint64_t shard_word = graph::shard_context_word(resolved_shards);
+  const std::uint64_t shard_word = graph::shard_context_word(plan.num_shards());
   if (shard_word != 0) context = util::hash_combine(context, shard_word);
   // A headless graph's structural fingerprint would sample an empty
   // neighbor span; the container carries the pack-time fingerprint of the
@@ -308,16 +299,16 @@ SampledMixing measure_sampled_mixing(const graph::Graph& g,
   // done/percent but not the rate, so the ETA after a resume reflects this
   // run's throughput instead of collapsing toward zero.
   progress.seed_restored(num_blocks - pending.size());
-  // The block loop is generic over the two engines (identical public
-  // surface); the shard branch is taken once per worker, outside the
-  // per-block hot path.
-  const auto run_blocks = [&](auto& evolver, std::size_t lo, std::size_t hi) {
-    std::array<double, kBlock> tvd{};
+  util::parallel_for(0, pending.size(), 1, [&](std::size_t lo, std::size_t hi) {
+    BatchedEvolver evolver(active, laziness, kBlock, frontier, options.precision, plan,
+                           mapped);
+    std::array<double, kBlock> tvd_lanes{};
     for (std::size_t p = lo; p < hi; ++p) {
       SOCMIX_TRACE_SPAN("evolve_block");
       const std::size_t blk = pending[p];
       const std::size_t first = blk * kBlock;
       const std::size_t lanes = std::min(kBlock, num_sources - first);
+      const std::span<const double> tvd = std::span{tvd_lanes}.first(lanes);
       evolver.seed_point_masses(eval_sources.subspan(first, lanes));
       for (std::size_t b = 0; b < lanes; ++b) {
         trajectories[first + b].reserve(max_steps);
@@ -328,8 +319,8 @@ SampledMixing measure_sampled_mixing(const graph::Graph& g,
       std::uint32_t above_eps = (lanes >= 32 ? 0xffffffffu : (1u << lanes) - 1u);
 #endif
       for (std::size_t t = 0; t < max_steps; ++t) {
-        evolver.step_with_tvd(pi, tvd);
-        for (std::size_t b = 0; b < lanes; ++b) {
+        evolver.step_with_tvd(pi, tvd_lanes);
+        for (std::size_t b = 0; b < tvd.size(); ++b) {
           trajectories[first + b].push_back(tvd[b]);
 #if SOCMIX_OBS_ENABLED
           if ((above_eps & (1u << b)) != 0 && tvd[b] < kHeadlineEpsilon) {
@@ -362,18 +353,6 @@ SampledMixing measure_sampled_mixing(const graph::Graph& g,
         checkpoint.record(blk, std::move(payload));
       }
       progress.add(1);
-    }
-  };
-  util::parallel_for(0, pending.size(), 1, [&](std::size_t lo, std::size_t hi) {
-    if (use_sharded) {
-      ShardedBatchedEvolver evolver{
-          active, graph::ShardPlan::balanced(active.offsets(), resolved_shards),
-          laziness, kBlock, frontier, options.precision, mapped};
-      run_blocks(evolver, lo, hi);
-    } else {
-      BatchedEvolver evolver{active, laziness, kBlock, frontier,
-                             options.precision};
-      run_blocks(evolver, lo, hi);
     }
   });
   checkpoint.finalize();

@@ -148,8 +148,8 @@ std::vector<AdmissionPoint> admission_sweep(const graph::Graph& g,
   // randomly), but the context-staleness rule matches the walk
   // measurements — non-trivial geometry folds its word, dense folds
   // nothing so pre-shard snapshots stay compatible.
-  const std::uint32_t resolved_shards = graph::resolve_shard_count(
-      config.sharded, active.memory_bytes(), active.num_nodes());
+  const std::uint32_t resolved_shards =
+      graph::resolve_shard_plan(config.sharded, active).num_shards();
   const graph::sharded::MappedGraph* mapped =
       reordered.identity() ? config.mapped : nullptr;
   SOCMIX_GAUGE_SET("sybil.shard.count", resolved_shards);

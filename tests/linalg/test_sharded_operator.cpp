@@ -1,7 +1,7 @@
-// ShardedWalkOperator: apply() is bitwise equal to WalkOperator::apply for
-// any shard count (rows are independent; every row runs the identical
-// kernel), so Lanczos on a sharded — or memory-mapped — graph produces
-// the exact same spectrum.
+// WalkOperator under a shard plan: apply() is bitwise equal to the
+// one-shard in-memory apply() for any shard count (rows are independent;
+// every row runs the identical kernel), so Lanczos on a sharded — or
+// memory-mapped — graph produces the exact same spectrum.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -14,7 +14,6 @@
 #include "graph/sharded/mapped_graph.hpp"
 #include "graph/sharded/plan.hpp"
 #include "linalg/lanczos.hpp"
-#include "linalg/sharded_walk_operator.hpp"
 #include "linalg/walk_operator.hpp"
 #include "util/rng.hpp"
 
@@ -43,8 +42,7 @@ TEST(ShardedWalkOperator, ApplyBitwiseEqualToDenseForEveryShardCount) {
   dense.apply(x, y_dense);
 
   for (const std::uint32_t shards : {1u, 4u, 16u, 61u}) {
-    const ShardedWalkOperator sharded{
-        g, graph::ShardPlan::balanced(g.offsets(), shards), 0.0};
+    const WalkOperator sharded{g, 0.0, graph::ShardPlan::balanced(g.offsets(), shards)};
     ASSERT_EQ(sharded.dim(), dense.dim());
     std::vector<double> y(g.num_nodes());
     sharded.apply(x, y);
@@ -56,8 +54,7 @@ TEST(ShardedWalkOperator, LazyApplyAndEigenvalueMapMatchDense) {
   const graph::Graph g = test_graph();
   const double laziness = 0.35;
   const WalkOperator dense{g, laziness};
-  const ShardedWalkOperator sharded{g, graph::ShardPlan::balanced(g.offsets(), 8),
-                                    laziness};
+  const WalkOperator sharded{g, laziness, graph::ShardPlan::balanced(g.offsets(), 8)};
   std::vector<double> x = random_unit(g.num_nodes(), 7);
   std::vector<double> y_dense(g.num_nodes()), y(g.num_nodes());
   dense.apply(x, y_dense);
@@ -78,9 +75,8 @@ TEST(ShardedWalkOperator, LanczosSpectrumIdenticalThroughMappedContainer) {
   const WalkOperator dense{g, 0.0};
   const auto dense_spectrum = slem_spectrum(dense, options);
 
-  const ShardedWalkOperator sharded{mapped.view(),
-                                    graph::ShardPlan::balanced(g.offsets(), 4), 0.0,
-                                    &mapped};
+  const WalkOperator sharded{mapped.view(), 0.0,
+                             graph::ShardPlan::balanced(g.offsets(), 4), &mapped};
   const auto sharded_spectrum = slem_spectrum(sharded, options);
 
   EXPECT_EQ(sharded_spectrum.slem, dense_spectrum.slem);
@@ -110,9 +106,9 @@ TEST(ShardedWalkOperator, LanczosSpectrumIdenticalThroughCompressedPrefetch) {
   const WalkOperator dense{g, 0.0};
   const auto dense_spectrum = slem_spectrum(dense, options);
 
-  const ShardedWalkOperator sharded{
-      mapped.view(), graph::ShardPlan::balanced(mapped.view().offsets(), 4), 0.0,
-      &mapped};
+  const WalkOperator sharded{mapped.view(), 0.0,
+                             graph::ShardPlan::balanced(mapped.view().offsets(), 4),
+                             &mapped};
   const auto sharded_spectrum = slem_spectrum(sharded, options);
   EXPECT_EQ(sharded_spectrum.slem, dense_spectrum.slem);
   EXPECT_EQ(sharded_spectrum.lambda2, dense_spectrum.lambda2);
@@ -123,14 +119,11 @@ TEST(ShardedWalkOperator, LanczosSpectrumIdenticalThroughCompressedPrefetch) {
 
 TEST(ShardedWalkOperator, RejectsBadPlanAndIsolatedVertices) {
   const graph::Graph g = test_graph();
-  EXPECT_THROW((ShardedWalkOperator{g, graph::ShardPlan{}, 0.0}),
+  EXPECT_THROW((WalkOperator{g, 0.0, graph::ShardPlan{}}), std::invalid_argument);
+  EXPECT_THROW((WalkOperator{g, 1.0, graph::ShardPlan::single(g.num_nodes())}),
                std::invalid_argument);
-  EXPECT_THROW(
-      (ShardedWalkOperator{g, graph::ShardPlan::single(g.num_nodes()), 1.0}),
-      std::invalid_argument);
-  EXPECT_THROW(
-      (ShardedWalkOperator{g, graph::ShardPlan::single(g.num_nodes() + 1), 0.0}),
-      std::invalid_argument);
+  EXPECT_THROW((WalkOperator{g, 0.0, graph::ShardPlan::single(g.num_nodes() + 1)}),
+               std::invalid_argument);
 }
 
 }  // namespace

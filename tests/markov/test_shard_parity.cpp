@@ -1,5 +1,5 @@
-// The contract of the sharded out-of-core engine (--sharded): trajectories
-// computed shard-at-a-time are BIT-IDENTICAL to the dense BatchedEvolver —
+// The contract of the out-of-core sweep (--sharded): trajectories computed
+// shard-at-a-time are BIT-IDENTICAL to the one-shard in-memory sweep —
 //
 //  * on every Table-1 generator config, for shard counts {1, 4, 16}, at
 //    serial and contended thread counts;
@@ -15,6 +15,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -26,9 +27,9 @@
 #include "graph/sharded/mapped_graph.hpp"
 #include "graph/sharded/plan.hpp"
 #include "linalg/simd/kernels.hpp"
+#include "linalg/walk_operator.hpp"
 #include "markov/batched_evolver.hpp"
 #include "markov/mixing_time.hpp"
-#include "markov/sharded_evolver.hpp"
 #include "markov/stationary.hpp"
 #include "obs/obs.hpp"
 #include "resilience/fault.hpp"
@@ -225,6 +226,59 @@ TEST(ShardParity, StagingFollowsTheContainer) {
   std::remove(raw_path.c_str());
   std::remove(adjc_path.c_str());
 }
+
+TEST(ShardParity, OnlyOutOfCoreSweepsPayForShardAccounting) {
+  // Every dense run sweeps the one-shard in-memory plan: it must not
+  // touch a shard counter. A 4-shard plan over the same graph accounts
+  // both engines' sweeps.
+  const auto spec = gen::find_dataset("Physics 1");
+  const graph::Graph g = gen::build_dataset(*spec, kNodes, 23);
+  const std::vector<double> pi = stationary_distribution(g);
+  const graph::NodeId seed[] = {0, 5};
+  std::vector<double> tvd(2);
+  std::vector<double> x(g.num_nodes(), 1.0);
+  std::vector<double> y(g.num_nodes());
+  const auto shard_counters = [] {
+    std::map<std::string, std::uint64_t> out;
+    for (const auto& counter : obs::Registry::instance().snapshot().counters) {
+      if (counter.name.rfind("markov.shard.", 0) == 0 ||
+          counter.name == "linalg.spmv.sharded_applies") {
+        out[counter.name] = counter.value;
+      }
+    }
+    return out;
+  };
+
+  const auto before_dense = shard_counters();
+  {
+    BatchedEvolver evolver{g};
+    evolver.seed_point_masses(seed);
+    evolver.step_with_tvd(pi, tvd);
+    const linalg::WalkOperator op{g};
+    op.apply(x, y);
+  }
+  EXPECT_EQ(shard_counters(), before_dense);
+
+  const auto before_sharded = shard_counters();
+  const graph::ShardPlan plan = graph::ShardPlan::balanced(g.offsets(), 4);
+  {
+    BatchedEvolver evolver(g, 0.0, BatchedEvolver::kDefaultBlock, {},
+                           linalg::simd::Precision::kFloat64, plan);
+    evolver.seed_point_masses(seed);
+    evolver.step_with_tvd(pi, tvd);
+    const linalg::WalkOperator op{g, 0.0, plan};
+    op.apply(x, y);
+  }
+  const auto after_sharded = shard_counters();
+  const auto delta = [&](const std::string& name) {
+    const auto was = before_sharded.find(name);
+    return after_sharded.at(name) - (was == before_sharded.end() ? 0 : was->second);
+  };
+  EXPECT_EQ(delta("markov.shard.sweeps"), 1u);
+  EXPECT_EQ(delta("markov.shard.shards_swept"), 4u);
+  EXPECT_GT(delta("markov.shard.boundary_bytes"), 0u);
+  EXPECT_EQ(delta("linalg.spmv.sharded_applies"), 1u);
+}
 #endif
 
 TEST(ShardParity, CompressedRejectsFrontierlessPreconditions) {
@@ -254,11 +308,11 @@ TEST(ShardParity, CompressedRejectsFrontierlessPreconditions) {
                std::invalid_argument);
 
   // The evolver itself refuses a frontier walk on headless adjacency.
-  EXPECT_THROW(ShardedBatchedEvolver(mapped.view(),
-                                     graph::ShardPlan::balanced(mapped.view().offsets(), 4),
-                                     0.0, ShardedBatchedEvolver::kDefaultBlock,
-                                     *graph::parse_frontier_policy("auto"),
-                                     linalg::simd::Precision::kFloat64, &mapped),
+  EXPECT_THROW(BatchedEvolver(mapped.view(), 0.0, BatchedEvolver::kDefaultBlock,
+                              *graph::parse_frontier_policy("auto"),
+                              linalg::simd::Precision::kFloat64,
+                              graph::ShardPlan::balanced(mapped.view().offsets(), 4),
+                              &mapped),
                std::invalid_argument);
   std::remove(path.string().c_str());
 }
@@ -292,8 +346,9 @@ TEST(ShardParity, EvolverStateAccessorsMatchDense) {
   const graph::FrontierPolicy frontier = *graph::parse_frontier_policy("auto");
 
   BatchedEvolver dense{g, 0.0, BatchedEvolver::kDefaultBlock, frontier};
-  ShardedBatchedEvolver sharded{g, graph::ShardPlan::balanced(g.offsets(), 8), 0.0,
-                                ShardedBatchedEvolver::kDefaultBlock, frontier};
+  BatchedEvolver sharded(g, 0.0, BatchedEvolver::kDefaultBlock, frontier,
+                         linalg::simd::Precision::kFloat64,
+                         graph::ShardPlan::balanced(g.offsets(), 8));
   const graph::NodeId seed[] = {0, 3};
   dense.seed_point_masses(seed);
   sharded.seed_point_masses(seed);

@@ -11,7 +11,8 @@ namespace {
 
 std::vector<std::byte> as_bytes(std::string_view s) {
   std::vector<std::byte> out(s.size());
-  std::memcpy(out.data(), s.data(), s.size());
+  // memcpy from an empty vector's null data() is UB even for 0 bytes.
+  if (!s.empty()) std::memcpy(out.data(), s.data(), s.size());
   return out;
 }
 

@@ -9,7 +9,7 @@
 // largest connected component, optionally relabel (--reorder), then write
 // the CSR with a pack-time shard plan resolved by --sharded against the
 // CSR byte size. `socmix measure --pack g.smxg` maps the result with zero
-// parse cost; the sharded engines stream it window-at-a-time. --compress
+// parse cost; the walk engines stream it window-at-a-time. --compress
 // emits the adjacency as the delta + stream-vbyte ADJC section (format
 // version 2, roughly half the bytes per edge; see sharded/adjc.hpp), which
 // the measurement decodes shard-wise, one shard ahead of compute on a

@@ -284,7 +284,9 @@ int cmd_sybil(const util::Cli& cli, const resilience::CheckpointOptions& checkpo
   config.checkpoint = checkpoint;
   config.sharded = core::sharded_from_cli(cli);
   config.mapped = input.mapped_ptr();
-  for (const auto token : util::split(cli.get("w", "2,4,8,16,24,32"), ',')) {
+  // split() returns views into its argument, so the string must outlive the loop.
+  const std::string widths = cli.get("w", "2,4,8,16,24,32");
+  for (const auto token : util::split(widths, ',')) {
     if (const auto v = util::parse_i64(token)) {
       config.route_lengths.push_back(static_cast<std::size_t>(*v));
     }
