@@ -1,4 +1,4 @@
-// Sharded-vs-dense roofline of the evolution engine (--sharded).
+// Sharded-vs-dense roofline of the evolution engine (graph_pack --sharded).
 //
 // For one Table-1 stand-in of each mixing class this times the batched
 // sweep (step_with_tvd over a 32-source block, the sampled measurement's
@@ -32,10 +32,10 @@
 // cross-shard gather traffic of the plan) and the sweep throughput in
 // half-edges/s — the roofline axis: dense is compute/RAM-bandwidth bound,
 // mapped shards add the fault/advise floor, and the gap between the three
-// is exactly what `--sharded auto` trades for residency. Pairing follows
-// micro_frontier: per round the dense and sharded run adjacently with the
-// order alternating, the reported slowdown is the median of the paired
-// per-round ratios, and absolute seconds are the per-variant minima.
+// is exactly what a multi-shard pack plan trades for residency. Pairing
+// follows micro_frontier: per round the dense and sharded run adjacently
+// with the order alternating, the reported slowdown is the median of the
+// paired per-round ratios, and absolute seconds are the per-variant minima.
 //
 //   micro_shard [--nodes N] [--steps N] [--rounds N] [--cold-steps N] [--quick]
 //               [--out bench_results/micro_shard.csv]

@@ -29,7 +29,6 @@ ExperimentConfig ExperimentConfig::from_cli(const util::Cli& cli) {
   config.reorder = reorder_from_cli(cli);
   config.frontier = frontier_from_cli(cli);
   config.precision = precision_from_cli(cli);
-  config.sharded = sharded_from_cli(cli);
   configure_observability(cli);
   config.checkpoint = configure_resilience(cli);
   // Stamp the perf-relevant knobs on the process bench harness so any
@@ -41,7 +40,6 @@ ExperimentConfig ExperimentConfig::from_cli(const util::Cli& cli) {
   harness.set_flag("reorder", cli.get("reorder", "none"));
   harness.set_flag("frontier", cli.get("frontier", "auto"));
   harness.set_flag("precision", cli.get("precision", "f64"));
-  harness.set_flag("sharded", cli.get("sharded", "auto"));
   return config;
 }
 
@@ -81,7 +79,7 @@ graph::ShardPolicy sharded_from_cli(const util::Cli& cli) {
   if (!policy) {
     throw std::invalid_argument{
         "--sharded=" + value + ": expected auto, off, or a shard count in [1, " +
-        std::to_string(graph::ShardPolicy::kMaxShards) + "]"};
+        std::to_string(graph::kMaxShards) + "]"};
   }
   return *policy;
 }

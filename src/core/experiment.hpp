@@ -54,13 +54,6 @@ struct ExperimentConfig {
   /// the accuracy budget). Drivers forward this into
   /// MeasurementOptions.precision.
   linalg::simd::Precision precision = linalg::simd::Precision::kFloat64;
-  /// Shard-at-a-time out-of-core evolution, parsed from
-  /// --sharded=auto|off|N (default auto, which stays on the dense path
-  /// until the CSR exceeds the per-shard byte budget). Results are
-  /// bit-identical for every shard count — this trades sweep locality for
-  /// a bounded CSR residency. Drivers forward this into
-  /// MeasurementOptions.sharded / AdmissionSweepConfig.sharded.
-  graph::ShardPolicy sharded;
 
   /// Parses the CLI and applies `threads` to the global util::parallel
   /// pool, so every driver honors --threads with no further wiring. Also
@@ -87,9 +80,10 @@ struct ExperimentConfig {
 /// parse their own Cli (socmix measure/sybil).
 [[nodiscard]] linalg::simd::Precision precision_from_cli(const util::Cli& cli);
 
-/// Parses --sharded (default "auto"); throws std::invalid_argument naming
-/// the bad value and the accepted ones. Shared by from_cli and tools that
-/// parse their own Cli (socmix measure/sybil, graph_pack).
+/// Parses graph_pack's --sharded (default "auto"), the pack-time shard
+/// plan; throws std::invalid_argument naming the bad value and the
+/// accepted ones. Measurements take no shard option: they sweep the plan
+/// of the container they read (graph::resolve_shard_plan).
 [[nodiscard]] graph::ShardPolicy sharded_from_cli(const util::Cli& cli);
 
 /// Wires the shared observability flags into the obs layer:

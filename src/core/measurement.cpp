@@ -42,9 +42,10 @@ MixingReport measure_mixing(const graph::Graph& g, std::string name,
     // Shard geometry never changes an output bit (rows are independent
     // under spmv); it only bounds the CSR residency. A headless graph's
     // adjacency exists only as the windows its pipeline decodes.
+    const graph::sharded::MappedGraph* mapped =
+        reordered.identity() ? options.mapped : nullptr;
     const linalg::WalkOperator op{active, options.laziness,
-                                  graph::resolve_shard_plan(options.sharded, active),
-                                  reordered.identity() ? options.mapped : nullptr};
+                                  graph::resolve_shard_plan(active, mapped), mapped};
     const linalg::SpectrumResult spectrum = linalg::slem_spectrum(op, options.lanczos);
     report.spectral_ran = true;
     report.spectral_converged = spectrum.converged;
@@ -73,7 +74,6 @@ MixingReport measure_mixing(const graph::Graph& g, std::string name,
     sampled_options.reorder = options.reorder;
     sampled_options.frontier = options.frontier;
     sampled_options.precision = options.precision;
-    sampled_options.sharded = options.sharded;
     sampled_options.mapped = options.mapped;
     if (sampled_options.checkpoint.enabled() && sampled_options.checkpoint.name.empty()) {
       sampled_options.checkpoint.name = "mixing-" + util::slugify(report.name);

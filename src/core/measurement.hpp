@@ -63,21 +63,16 @@ struct MeasurementOptions {
   /// compensated float64 (per-step error bounded by
   /// linalg::simd::kMixedTvdBudget). The spectral phase always runs f64.
   linalg::simd::Precision precision = linalg::simd::Precision::kFloat64;
-  /// Shard-at-a-time out-of-core evolution (--sharded auto|off|N),
-  /// resolved once per phase by graph::resolve_shard_plan against the
-  /// measured CSR. Under a plan of > 1 shards both walk engines
-  /// (spectral: WalkOperator under Lanczos; sampled: BatchedEvolver)
-  /// sweep the graph one contiguous vertex shard at a time — bit-identical
-  /// to the one-shard sweep for any shard count; with a mapped container
-  /// the CSR residency stays near two shard windows.
-  graph::ShardPolicy sharded;
   /// The mmap-backed .smxg container `g` was borrowed from (socmix
-  /// --pack), or null. Enables the madvise windowing of the shard sweeps;
-  /// must outlive the call. Ignored under a non-identity reordering,
-  /// which materializes a CSR the mapping no longer backs. A compressed
-  /// container (headless `g`) is mandatory: both engines take their
-  /// adjacency windows from its decoder, even under a one-shard plan. It
-  /// also disables the frontier phase and requires --reorder none.
+  /// --pack), or null; must outlive the call. Both walk engines sweep its
+  /// stored pack plan one shard at a time, keeping the CSR residency near
+  /// two shard windows — bit-identical to the one-shard sweep an
+  /// in-memory `g` gets (graph::resolve_shard_plan). Ignored under a
+  /// non-identity reordering, which materializes a CSR the mapping no
+  /// longer backs. A compressed container (headless `g`) is mandatory:
+  /// both engines take their adjacency windows from its decoder, even
+  /// under a one-shard plan. It also disables the frontier phase and
+  /// requires --reorder none.
   const graph::sharded::MappedGraph* mapped = nullptr;
 };
 

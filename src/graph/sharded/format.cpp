@@ -56,6 +56,10 @@ void write_smxg_file(const std::string& path, const Graph& g, const ShardPlan& p
   if (plan.dim() != g.num_nodes() || plan.num_shards() == 0) {
     throw std::runtime_error{"write_smxg_file: shard plan does not cover the graph"};
   }
+  if (plan.num_shards() > kMaxShards) {
+    throw std::runtime_error{"write_smxg_file: shard plan exceeds " +
+                             std::to_string(kMaxShards) + " shards"};
+  }
   if (g.raw_neighbors().data() == nullptr) {
     throw std::runtime_error{
         "write_smxg_file: cannot repack a compressed (headless) view"};

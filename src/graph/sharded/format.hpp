@@ -23,7 +23,8 @@
 //   12  u32  num_sections
 //   16  u64  num_nodes
 //   24  u64  num_half_edges
-//   32  u32  num_shards (pack-time default plan; runtime may re-plan)
+//   32  u32  num_shards (the pack-time plan every sweep follows; 1 to
+//            graph::kMaxShards)
 //   36  u32  reserved
 //   40  u64  file_bytes (total file size the header commits to)
 //   48  u64  graph structural fingerprint
@@ -72,10 +73,11 @@ struct WriteOptions {
 
 /// Writes `g` and its pack-time shard plan as a `.smxg` file (temp file +
 /// atomic rename, like the resilience snapshots). `plan.dim()` must equal
-/// `g.num_nodes()`. Payloads are streamed through incremental CRCs and
-/// the header/section table patched in afterwards, so the writer's extra
-/// memory stays O(one compression group) regardless of graph size.
-/// Throws std::runtime_error on I/O failure.
+/// `g.num_nodes()` and the plan hold 1 to kMaxShards shards.
+/// Payloads are streamed through incremental CRCs and the header/section
+/// table patched in afterwards, so the writer's extra memory stays O(one
+/// compression group) regardless of graph size. Throws std::runtime_error
+/// on I/O failure or an unfit plan.
 void write_smxg_file(const std::string& path, const Graph& g, const ShardPlan& plan,
                      const WriteOptions& options);
 void write_smxg_file(const std::string& path, const Graph& g, const ShardPlan& plan);

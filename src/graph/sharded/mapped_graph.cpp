@@ -224,6 +224,11 @@ void MappedGraph::load(const std::string& path, Options options) {
   if (pack_shards == 0 || shrd.bytes != (std::uint64_t{pack_shards} + 1) * 8) {
     rejected("shard section size disagrees with header");
   }
+  // The stored plan drives every sweep, whose bookkeeping is O(shards).
+  if (pack_shards > kMaxShards) {
+    rejected("implausible shard count " + std::to_string(pack_shards) + " (max " +
+             std::to_string(kMaxShards) + ")");
+  }
 
   if (options.verify) {
     const auto check = [&](const SectionInfo& s, const char* name) {

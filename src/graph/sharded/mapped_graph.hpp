@@ -82,8 +82,9 @@ class MappedGraph {
   /// Headless (view().headless()) when the container is compressed.
   [[nodiscard]] const Graph& view() const noexcept { return view_; }
 
-  /// The pack-time shard plan stored in the file (>= 1 shard). Runtime
-  /// policies may re-plan with any count; this is the packer's default.
+  /// The pack-time shard plan stored in the file (1 to kMaxShards
+  /// shards): the geometry every sweep over this container follows
+  /// (graph::resolve_shard_plan).
   [[nodiscard]] const ShardPlan& pack_plan() const noexcept { return pack_plan_; }
 
   [[nodiscard]] std::uint64_t fingerprint() const noexcept { return fingerprint_; }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "graph/sharded/mapped_graph.hpp"
 #include "util/rng.hpp"
 #include "util/string_util.hpp"
 
@@ -11,18 +12,9 @@ std::optional<ShardPolicy> parse_shard_policy(std::string_view name) noexcept {
   if (name.empty() || name == "auto") return ShardPolicy{};
   if (name == "off") return ShardPolicy{.mode = ShardPolicy::Mode::kOff};
   const auto count = util::parse_i64(name);
-  if (!count || *count < 1 || *count > ShardPolicy::kMaxShards) return std::nullopt;
+  if (!count || *count < 1 || *count > kMaxShards) return std::nullopt;
   return ShardPolicy{.mode = ShardPolicy::Mode::kFixed,
                      .count = static_cast<std::uint32_t>(*count)};
-}
-
-std::string shard_policy_name(const ShardPolicy& policy) {
-  switch (policy.mode) {
-    case ShardPolicy::Mode::kAuto: return "auto";
-    case ShardPolicy::Mode::kOff: return "off";
-    case ShardPolicy::Mode::kFixed: return std::to_string(policy.count);
-  }
-  return "auto";
 }
 
 std::uint32_t resolve_shard_count(const ShardPolicy& policy, std::size_t csr_bytes,
@@ -43,11 +35,11 @@ std::uint32_t resolve_shard_count(const ShardPolicy& policy, std::size_t csr_byt
       const std::size_t envelope = 2 * ShardPolicy::kAutoShardBytes;
       shards = static_cast<std::uint32_t>(
           std::min<std::size_t>((csr_bytes * copies + envelope - 1) / envelope,
-                                ShardPolicy::kMaxShards));
+                                kMaxShards));
       break;
     }
   }
-  shards = std::min<std::uint32_t>(shards, ShardPolicy::kMaxShards);
+  shards = std::min<std::uint32_t>(shards, kMaxShards);
   // More shards than rows would only manufacture empty shards.
   return std::max<std::uint32_t>(1, std::min<std::uint32_t>(shards, n));
 }
@@ -83,10 +75,8 @@ ShardPlan ShardPlan::balanced(std::span<const EdgeIndex> offsets, std::uint32_t 
   return plan;
 }
 
-ShardPlan resolve_shard_plan(const ShardPolicy& policy, const Graph& g) {
-  const std::uint32_t shards = resolve_shard_count(
-      policy, g.memory_bytes(), g.num_nodes(), g.headless() ? 3u : 2u);
-  return ShardPlan::balanced(g.offsets(), shards);
+ShardPlan resolve_shard_plan(const Graph& g, const sharded::MappedGraph* mapped) {
+  return mapped != nullptr ? mapped->pack_plan() : ShardPlan::single(g.num_nodes());
 }
 
 EdgeIndex count_boundary_half_edges(const Graph& g, const ShardPlan& plan) {

@@ -10,22 +10,21 @@
 // graph size (see DESIGN.md "Sharded out-of-core evolution"). Shards
 // partition rows, rows are independent within a sweep, and every kernel
 // row body is unchanged — so shard geometry can never change an output
-// bit, only the order pages stream from disk. An in-memory graph is the
-// one-shard plan.
+// bit, only the order pages stream from disk.
 //
-// ShardPolicy is the user-facing knob (--sharded auto|off|N): `auto`
-// targets a fixed per-shard CSR byte budget (small graphs resolve to one
-// shard, i.e. the in-memory sweep), `off` forces one shard, `N` forces a
-// shard count. resolve_shard_plan turns a policy into the plan both
-// measurement phases and the admission sweep use; its shard count feeds
-// shard_context_word so block checkpoints written under a different
-// geometry classify stale.
+// The plan follows the input, with no knob at measurement time
+// (resolve_shard_plan): an in-memory CSR, reordered or not, is the
+// one-shard plan; a mapped `.smxg` container sweeps the plan it was
+// packed with. ShardPolicy is the pack-time knob (`graph_pack --sharded
+// auto|off|N`): `auto` targets a fixed per-shard CSR byte budget (small
+// graphs resolve to one shard), `off` forces one shard, `N` forces a
+// shard count. The swept plan's shard count feeds shard_context_word so
+// block checkpoints written under a different geometry classify stale.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -34,11 +33,20 @@
 
 namespace socmix::graph {
 
-/// Whether (and how many ways) the evolution engines shard the CSR.
+namespace sharded {
+class MappedGraph;
+}  // namespace sharded
+
+/// Upper bound on a shard count, resolved by a policy or stored in a
+/// container (madvise bookkeeping is O(S) per sweep; 1024 shards of the
+/// auto budget already covers a 64 GB CSR).
+inline constexpr std::uint32_t kMaxShards = 1024;
+
+/// How many ways graph_pack splits the CSR it writes.
 struct ShardPolicy {
   enum class Mode : std::uint8_t {
     kAuto = 0,   ///< shard when the CSR exceeds the per-shard byte budget
-    kOff = 1,    ///< always dense (the pre-sharding behavior)
+    kOff = 1,    ///< always one shard
     kFixed = 2,  ///< exactly `count` shards
   };
 
@@ -46,27 +54,19 @@ struct ShardPolicy {
   /// sweep amortizes its madvise calls, small enough that two resident
   /// windows stay far below any sane RAM budget.
   static constexpr std::size_t kAutoShardBytes = std::size_t{64} << 20;
-  /// Upper bound on a resolved shard count (madvise bookkeeping is O(S)
-  /// per sweep; 1024 shards of the auto budget already covers a 64 GB CSR).
-  static constexpr std::uint32_t kMaxShards = 1024;
 
   Mode mode = Mode::kAuto;
   /// Shard count for kFixed; ignored otherwise.
   std::uint32_t count = 0;
-
-  [[nodiscard]] bool enabled() const noexcept { return mode != Mode::kOff; }
 };
 
 /// Parses a --sharded flag value: "auto", "off", or a shard count >= 1.
 /// Empty parses as auto (the default); anything else is nullopt.
 [[nodiscard]] std::optional<ShardPolicy> parse_shard_policy(std::string_view name) noexcept;
 
-/// Canonical flag spelling ("auto", "off", or the count digits).
-[[nodiscard]] std::string shard_policy_name(const ShardPolicy& policy);
-
 /// Shard count a policy resolves to for a CSR of `csr_bytes` over `n`
-/// rows. 1 means "run the dense path" (off, auto under the byte budget,
-/// or an explicit --sharded 1 — all bit-identical by contract).
+/// rows. 1 means one shard (off, auto under the byte budget, or an
+/// explicit --sharded 1).
 /// `resident_copies` is how many shard-sized windows the engine keeps
 /// live at once: 2 for the classic advise-ahead sweep (current + next),
 /// 3 when a decoded-scratch window rides along (compressed adjacency
@@ -109,13 +109,12 @@ struct ShardPlan {
                                           std::uint32_t shards);
 };
 
-/// The plan the walk engines sweep `g` under: `policy` resolved against
-/// g's CSR footprint, split by ShardPlan::balanced. A headless `g`
-/// (compressed container) keeps three adjacency copies of a staged window
-/// live — two decoded scratch slots plus the mapped ADJC bytes — so `auto`
-/// sizes its shards for resident_copies = 3. A one-shard result is the
-/// in-memory sweep, whose shard_context_word is 0.
-[[nodiscard]] ShardPlan resolve_shard_plan(const ShardPolicy& policy, const Graph& g);
+/// The plan the walk engines sweep `g` under: the container's stored
+/// pack_plan() when `mapped` (the container `g` was borrowed from) is
+/// non-null, otherwise the one-shard in-memory plan, whose
+/// shard_context_word is 0.
+[[nodiscard]] ShardPlan resolve_shard_plan(const Graph& g,
+                                           const sharded::MappedGraph* mapped);
 
 /// Half-edges (u, v) whose endpoints live in different shards of `plan` —
 /// the state that conceptually crosses shard boundaries each sweep (the

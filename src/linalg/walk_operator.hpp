@@ -11,7 +11,7 @@
 // periodic (bipartite components), mirroring the standard lazy chain
 // (I + P)/2 whose spectrum is the affine map (1 + lambda)/2.
 //
-// Out-of-core graphs (--sharded, --pack): apply() sweeps the CSR one
+// Out-of-core graphs (--pack): apply() sweeps the CSR one
 // contiguous vertex shard at a time through a ShardPipeline, which stages
 // each shard's window (madvise windowing for a raw pack, ADJC decode on a
 // worker thread for a compressed one), so Lanczos runs on a memory-mapped

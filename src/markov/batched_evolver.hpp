@@ -37,7 +37,7 @@
 // quantization, bounded by linalg::simd::kMixedTvdBudget, and remain
 // bit-identical across kernel tiers and frontier modes.
 //
-// Out-of-core graphs (--sharded, --pack): every CSR window comes from a
+// Out-of-core graphs (--pack): every CSR window comes from a
 // linalg::ShardPipeline, and the sweep visits the plan's contiguous vertex
 // shards in order. An in-memory graph is the one-shard plan, whose window
 // is the whole CSR; its sweep is one fused-TVD kernel call with the

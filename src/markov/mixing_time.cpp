@@ -244,13 +244,12 @@ SampledMixing measure_sampled_mixing(const graph::Graph& g,
   // the mixed budget — replaying a mixed snapshot into an f64 run would
   // silently launder quantization error into the exact-parity path). A
   // snapshot from a foreign combination classifies stale, not corrupt.
-  // Shard geometry: resolved once against the active CSR. One shard is
-  // the in-memory sweep and folds no context word, so pre-shard snapshots
-  // stay compatible. A reordering materializes a fresh in-memory CSR, so
-  // the mmap windowing hints only apply under identity ordering.
-  const graph::ShardPlan plan = graph::resolve_shard_plan(options.sharded, active);
+  // Shard geometry follows the input: a mapped container's pack plan, or
+  // one shard (folding no context word) for an in-memory CSR — including a
+  // reordering, which materializes a CSR the mapping no longer backs.
   const graph::sharded::MappedGraph* mapped =
       reordered.identity() ? options.mapped : nullptr;
+  const graph::ShardPlan plan = graph::resolve_shard_plan(active, mapped);
 #if SOCMIX_OBS_ENABLED
   SOCMIX_GAUGE_SET("markov.sampled.shards", plan.num_shards());
 #endif

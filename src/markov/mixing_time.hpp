@@ -150,23 +150,17 @@ struct SampledMixingOptions {
   /// markov.sampled.mixed_eps_guard counter. Folded into the checkpoint
   /// context word: foreign-precision snapshots classify stale.
   linalg::simd::Precision precision = linalg::simd::Precision::kFloat64;
-  /// Shard-at-a-time evolution (--sharded auto|off|N). Resolved by
-  /// graph::resolve_shard_plan against the active (post-reorder) graph's
-  /// CSR footprint; the BatchedEvolver sweeps the resulting plan shard by
-  /// shard — bit-identical to the one-shard sweep for every shard count,
-  /// so the parity and resume contracts are unaffected. A plan of > 1
-  /// shards folds graph::shard_context_word into the checkpoint context,
-  /// so a snapshot written under a foreign shard geometry classifies
-  /// stale; one-shard runs fold nothing and stay compatible with
-  /// pre-shard snapshots.
-  graph::ShardPolicy sharded;
   /// The mmap-backed container `g` was borrowed from, when the caller
-  /// loaded one (socmix --pack). Enables the madvise windowing of the
-  /// shard sweep; ignored (the sweep is identical, minus the paging
-  /// hints) when null or when a reordering materializes a new CSR that
-  /// the mapping no longer backs. A *compressed* container (headless `g`,
-  /// see MappedGraph::compressed()) is mandatory here: the shard pipeline
-  /// decodes adjacency windows out of it, even under a one-shard plan.
+  /// loaded one (socmix --pack). The BatchedEvolver sweeps its stored
+  /// pack plan shard by shard with madvise windowing; an in-memory `g`, or
+  /// a reordering (a fresh CSR the mapping no longer backs), is one shard
+  /// (graph::resolve_shard_plan). Every plan is bit-identical to the
+  /// one-shard sweep. A plan of > 1 shards folds graph::shard_context_word
+  /// into the checkpoint context, so a snapshot written under a foreign
+  /// geometry classifies stale; one shard folds nothing. A *compressed*
+  /// container (headless `g`, see MappedGraph::compressed()) is mandatory
+  /// here: the shard pipeline decodes adjacency windows out of it, even
+  /// under a one-shard plan.
   /// Compressed runs disable the frontier phase (its closure walk needs
   /// in-memory adjacency) and reject reorder modes other than kNone —
   /// none of which changes an output bit versus the same flags on the

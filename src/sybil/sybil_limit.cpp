@@ -144,14 +144,13 @@ std::vector<AdmissionPoint> admission_sweep(const graph::Graph& g,
   if (checkpoint_options.enabled() && checkpoint_options.name.empty()) {
     checkpoint_options.name = "sybil-admission";
   }
-  // Shard geometry: purely a residency knob here (routes address the CSR
-  // randomly), but the context-staleness rule matches the walk
-  // measurements — non-trivial geometry folds its word, dense folds
-  // nothing so pre-shard snapshots stay compatible.
-  const std::uint32_t resolved_shards =
-      graph::resolve_shard_plan(config.sharded, active).num_shards();
+  // Shard geometry follows the input (the container's pack plan, one shard
+  // in memory). Routes address the CSR randomly, so it only steers
+  // residency here, but non-trivial geometry still folds its context word.
   const graph::sharded::MappedGraph* mapped =
       reordered.identity() ? config.mapped : nullptr;
+  const std::uint32_t resolved_shards =
+      graph::resolve_shard_plan(active, mapped).num_shards();
   SOCMIX_GAUGE_SET("sybil.shard.count", resolved_shards);
   // The engine version joins the context word: pre-engine snapshots were
   // measured under per-length protocol seeds, so replaying them against

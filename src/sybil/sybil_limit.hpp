@@ -151,17 +151,14 @@ struct AdmissionSweepConfig {
   /// identical on or off; folded into the checkpoint context so snapshots
   /// never mix modes.
   graph::FrontierPolicy frontier;
-  /// Shard policy (--sharded). Random routes address the CSR randomly, so
-  /// there is no windowed sweep here; the resolved geometry is reported
-  /// (sybil.shard.count), folded into the checkpoint context when
-  /// non-trivial (matching the walk measurements' staleness rule), and —
-  /// with a mapped container — drives a residency release between
-  /// route-length points so a sweep's peak footprint is one point's
-  /// touched pages, not the whole container. Admitted fractions are
+  /// The mmap-backed container `g` was borrowed from (or null); ignored
+  /// under a non-identity reordering. Its pack plan (one shard in memory,
+  /// graph::resolve_shard_plan) drives no windowed sweep — random routes
+  /// address the CSR randomly — but is reported (sybil.shard.count),
+  /// folded into the checkpoint context when non-trivial, and, for a
+  /// multi-shard container, releases the mapping after the sweep so its
+  /// peak footprint is the touched pages. Admitted fractions are
   /// identical for every shard count.
-  graph::ShardPolicy sharded;
-  /// The mmap-backed container `g` was borrowed from (or null); see
-  /// `sharded`. Ignored under a non-identity reordering.
   const graph::sharded::MappedGraph* mapped = nullptr;
   /// When non-null, receives the engine's cumulative statistics for the
   /// sweep (route hops walked/saved, verifier-cache traffic, precompute vs

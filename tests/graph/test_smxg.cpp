@@ -216,6 +216,51 @@ TEST_F(SmxgTest, UncompressedVersionRelabeledCompressedRejects) {
   expect_rejected("carries ADJ4");
 }
 
+TEST_F(SmxgTest, OversizedShardPlanRejects) {
+  // The stored plan drives every sweep, whose bookkeeping is O(shards), so
+  // a plan past kMaxShards fails closed at both ends.
+  const ShardPlan oversized =
+      ShardPlan::balanced(graph_.offsets(), kMaxShards + 1);
+  ASSERT_EQ(oversized.num_shards(), kMaxShards + 1);
+  const std::string refused = path_ + ".oversized";
+  fs::remove(refused);
+  EXPECT_THROW(write_smxg_file(refused, graph_, oversized), std::runtime_error);
+  EXPECT_FALSE(fs::exists(refused));
+
+  // Hand-build the container the writer refuses: replace the trailing SHRD
+  // payload of the valid 4-shard pack with the 1025-shard bounds, then
+  // re-stamp its extent and CRC, the header's shard count and file size.
+  auto bytes = slurp();
+  char* entry = nullptr;
+  for (std::size_t i = 0; i < 3; ++i) {
+    char* e = bytes.data() + kHeaderBytes + i * kSectionEntryBytes;
+    std::uint32_t id = 0;
+    std::memcpy(&id, e, sizeof id);
+    if (id == kSectionShards) entry = e;
+  }
+  ASSERT_NE(entry, nullptr);
+  std::uint64_t offset = 0;
+  std::memcpy(&offset, entry + 8, sizeof offset);
+  const std::ptrdiff_t entry_at = entry - bytes.data();
+  const std::vector<std::uint64_t> bounds(oversized.bounds.begin(), oversized.bounds.end());
+  const auto payload = std::as_bytes(std::span{bounds});
+  bytes.resize(static_cast<std::size_t>(offset));
+  for (const std::byte b : payload) bytes.push_back(static_cast<char>(b));
+  bytes.resize((bytes.size() + kPayloadAlign - 1) / kPayloadAlign * kPayloadAlign, '\0');
+  entry = bytes.data() + entry_at;
+  const std::uint32_t crc = util::crc32(payload);
+  const std::uint64_t size = payload.size();
+  const std::uint32_t shards = oversized.num_shards();
+  const std::uint64_t file_bytes = bytes.size();
+  std::memcpy(entry + 4, &crc, sizeof crc);
+  std::memcpy(entry + 16, &size, sizeof size);
+  std::memcpy(bytes.data() + 32, &shards, sizeof shards);
+  std::memcpy(bytes.data() + 40, &file_bytes, sizeof file_bytes);
+  restamp_header_crc(bytes);
+  dump(bytes);
+  expect_rejected("shard count");
+}
+
 // ------------------------------------------------- compressed containers --
 
 class SmxgCompressedTest : public SmxgTest {

@@ -1,12 +1,12 @@
-// The contract of the out-of-core sweep (--sharded): trajectories computed
-// shard-at-a-time are BIT-IDENTICAL to the one-shard in-memory sweep —
+// The contract of the out-of-core sweep: the shard geometry follows the
+// input (an in-memory graph is one shard, a packed .smxg container sweeps
+// the plan it was packed with), and trajectories computed shard-at-a-time
+// through a container are BIT-IDENTICAL to the one-shard in-memory sweep —
 //
-//  * on every Table-1 generator config, for shard counts {1, 4, 16}, at
-//    serial and contended thread counts;
-//  * composed with the frontier phase, the rcm reordering, and mixed
-//    precision;
-//  * through a packed .smxg container mapped back as a borrowed graph,
-//    raw or compressed (ADJC, decoded ahead on the pipeline worker);
+//  * on every Table-1 generator config, raw or compressed (ADJC, decoded
+//    ahead on the pipeline worker), for pack plans of {1, 4, 16} shards,
+//    at serial and contended thread counts;
+//  * composed with the frontier phase and mixed precision;
 //  * across a fault-injected kill and checkpoint resume under sharding,
 //    including a kill at a shard boundary mid-decode;
 //  * and a snapshot written under a foreign shard geometry is classified
@@ -55,8 +55,19 @@ std::vector<graph::NodeId> spread_sources(const graph::Graph& g,
   return sources;
 }
 
-graph::ShardPolicy shards(std::uint32_t count) {
-  return graph::ShardPolicy{.mode = graph::ShardPolicy::Mode::kFixed, .count = count};
+// Packs `g` under a balanced `shards`-way plan — the geometry every sweep
+// over the container follows — and maps it back. The file is unlinked
+// once mapped; the mapping (or the heap fallback's copy) outlives it.
+graph::sharded::MappedGraph pack(const graph::Graph& g, std::uint32_t shards,
+                                 const std::string& name, bool compress = false) {
+  const std::string path = (fs::path{testing::TempDir()} / (name + ".smxg")).string();
+  graph::sharded::WriteOptions options;
+  options.compress = compress;
+  graph::sharded::write_smxg_file(path, g, graph::ShardPlan::balanced(g.offsets(), shards),
+                                  options);
+  graph::sharded::MappedGraph mapped{path};
+  std::remove(path.c_str());
+  return mapped;
 }
 
 SampledMixing run(const graph::Graph& g, std::span<const graph::NodeId> sources,
@@ -80,62 +91,36 @@ void expect_bitwise_equal(const SampledMixing& a, const SampledMixing& b,
   }
 }
 
-TEST(ShardParity, BitIdenticalToDenseOnEveryTable1Config) {
-  for (const gen::DatasetSpec& spec : gen::table1_datasets()) {
-    const graph::Graph g = gen::build_dataset(spec, kNodes, 11);
-    const auto sources = spread_sources(g);
-    SampledMixingOptions dense_options = base_options();
-    dense_options.sharded = graph::ShardPolicy{.mode = graph::ShardPolicy::Mode::kOff};
-    const SampledMixing dense = run(g, sources, dense_options);
-    for (const std::uint32_t count : {1u, 4u, 16u}) {
-      for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
-        util::set_thread_count(threads);
-        SampledMixingOptions options = base_options();
-        options.sharded = shards(count);
-        const SampledMixing sharded = run(g, sources, options);
-        util::set_thread_count(0);
-        expect_bitwise_equal(dense, sharded,
-                             spec.name + " shards=" + std::to_string(count) +
-                                 " threads=" + std::to_string(threads));
-      }
-    }
-  }
-}
-
 TEST(ShardParity, ComposesWithFrontierReorderAndMixedPrecision) {
+  // A reordering materializes an in-memory CSR, which is always one shard,
+  // so the composition left to check is frontier x precision on a pack.
   const auto spec = gen::find_dataset("Physics 1");
   const graph::Graph g = gen::build_dataset(*spec, kNodes, 5);
   const auto sources = spread_sources(g);
   struct Combo {
     const char* frontier;
-    graph::ReorderMode reorder;
     linalg::simd::Precision precision;
     const char* label;
   };
   const Combo combos[] = {
-      {"auto", graph::ReorderMode::kNone, linalg::simd::Precision::kFloat64,
-       "frontier"},
-      {"off", graph::ReorderMode::kRcm, linalg::simd::Precision::kFloat64, "rcm"},
-      {"auto", graph::ReorderMode::kRcm, linalg::simd::Precision::kFloat64,
-       "frontier+rcm"},
-      {"off", graph::ReorderMode::kNone, linalg::simd::Precision::kMixed, "mixed"},
-      {"auto", graph::ReorderMode::kNone, linalg::simd::Precision::kMixed,
-       "frontier+mixed"},
+      {"auto", linalg::simd::Precision::kFloat64, "frontier"},
+      {"off", linalg::simd::Precision::kMixed, "mixed"},
+      {"auto", linalg::simd::Precision::kMixed, "frontier+mixed"},
   };
+  const graph::sharded::MappedGraph packs[] = {pack(g, 4, "compose_4"),
+                                               pack(g, 16, "compose_16")};
   for (const Combo& combo : combos) {
     SampledMixingOptions dense_options = base_options();
     dense_options.frontier = *graph::parse_frontier_policy(combo.frontier);
-    dense_options.reorder = combo.reorder;
     dense_options.precision = combo.precision;
-    dense_options.sharded = graph::ShardPolicy{.mode = graph::ShardPolicy::Mode::kOff};
     const SampledMixing dense = run(g, sources, dense_options);
-    for (const std::uint32_t count : {4u, 16u}) {
+    for (const graph::sharded::MappedGraph& mapped : packs) {
       SampledMixingOptions options = dense_options;
-      options.sharded = shards(count);
-      const SampledMixing sharded = run(g, sources, options);
+      options.mapped = &mapped;
+      const SampledMixing sharded = run(mapped.view(), sources, options);
       expect_bitwise_equal(dense, sharded,
-                           std::string{combo.label} +
-                               " shards=" + std::to_string(count));
+                           std::string{combo.label} + " shards=" +
+                               std::to_string(mapped.pack_plan().num_shards()));
     }
   }
 }
@@ -143,38 +128,28 @@ TEST(ShardParity, ComposesWithFrontierReorderAndMixedPrecision) {
 TEST(ShardParity, PipelineMatrixBitIdenticalToDenseOnEveryTable1Config) {
   // The pipeline contract: the adjacency representation (raw ADJ4 staged
   // inline vs ADJC decoded on the worker) changes no bit. Every Table-1
-  // generator config, both containers, shard counts {1, 4, 16}, serial
-  // and contended threads — all bit-identical to the dense in-memory
-  // engine.
+  // generator config, both containers, pack plans of {1, 4, 16} shards,
+  // serial and contended threads — all bit-identical to the dense
+  // in-memory engine.
   std::size_t dataset_index = 0;
   for (const gen::DatasetSpec& spec : gen::table1_datasets()) {
     const std::string tag = std::to_string(dataset_index++);
     const graph::Graph g = gen::build_dataset(spec, kNodes, 11);
     const auto sources = spread_sources(g);
-    SampledMixingOptions dense_options = base_options();
-    dense_options.sharded = graph::ShardPolicy{.mode = graph::ShardPolicy::Mode::kOff};
-    const SampledMixing dense = run(g, sources, dense_options);
+    const SampledMixing dense = run(g, sources, base_options());
 
-    const fs::path dir = fs::path{testing::TempDir()};
-    const std::string raw_path = (dir / ("pipe_raw_" + tag + ".smxg")).string();
-    const std::string adjc_path = (dir / ("pipe_adjc_" + tag + ".smxg")).string();
-    const graph::ShardPlan pack_plan = graph::ShardPlan::balanced(g.offsets(), 4);
-    graph::sharded::write_smxg_file(raw_path, g, pack_plan);
-    graph::sharded::WriteOptions compress;
-    compress.compress = true;
-    graph::sharded::write_smxg_file(adjc_path, g, pack_plan, compress);
-    const graph::sharded::MappedGraph raw{raw_path};
-    const graph::sharded::MappedGraph adjc{adjc_path};
-    ASSERT_FALSE(raw.compressed());
-    ASSERT_TRUE(adjc.compressed());
-
-    for (const bool compressed : {false, true}) {
-      const graph::sharded::MappedGraph& mapped = compressed ? adjc : raw;
-      for (const std::uint32_t count : {1u, 4u, 16u}) {
+    for (const std::uint32_t count : {1u, 4u, 16u}) {
+      const std::string geometry = tag + "_" + std::to_string(count);
+      const graph::sharded::MappedGraph raw = pack(g, count, "pipe_raw_" + geometry);
+      const graph::sharded::MappedGraph adjc =
+          pack(g, count, "pipe_adjc_" + geometry, /*compress=*/true);
+      ASSERT_FALSE(raw.compressed());
+      ASSERT_TRUE(adjc.compressed());
+      for (const bool compressed : {false, true}) {
+        const graph::sharded::MappedGraph& mapped = compressed ? adjc : raw;
         for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
           util::set_thread_count(threads);
           SampledMixingOptions options = base_options();
-          options.sharded = shards(count);
           options.mapped = &mapped;
           const SampledMixing sharded = run(mapped.view(), sources, options);
           util::set_thread_count(0);
@@ -185,8 +160,6 @@ TEST(ShardParity, PipelineMatrixBitIdenticalToDenseOnEveryTable1Config) {
         }
       }
     }
-    std::remove(raw_path.c_str());
-    std::remove(adjc_path.c_str());
   }
 }
 
@@ -215,7 +188,6 @@ TEST(ShardParity, StagingFollowsTheContainer) {
     };
     const graph::sharded::MappedGraph mapped{path};
     SampledMixingOptions options = base_options();
-    options.sharded = shards(4);
     options.mapped = &mapped;
     const std::uint64_t before = issued();
     (void)run(mapped.view(), sources, options);
@@ -225,6 +197,27 @@ TEST(ShardParity, StagingFollowsTheContainer) {
   EXPECT_GT(issued_during(adjc_path), 0u);
   std::remove(raw_path.c_str());
   std::remove(adjc_path.c_str());
+}
+
+TEST(ShardParity, GeometryFollowsTheContainer) {
+  // No option picks the geometry either: a pack sweeps the plan it was
+  // packed with, an in-memory graph is one shard.
+  const auto spec = gen::find_dataset("Physics 1");
+  const graph::Graph g = gen::build_dataset(*spec, kNodes, 29);
+  const auto sources = spread_sources(g);
+  const auto swept_shards = [] {
+    for (const auto& gauge : obs::Registry::instance().snapshot().gauges) {
+      if (gauge.name == "markov.sampled.shards") return gauge.value;
+    }
+    return -1.0;
+  };
+  const graph::sharded::MappedGraph mapped = pack(g, 4, "geometry_4");
+  SampledMixingOptions options = base_options();
+  options.mapped = &mapped;
+  (void)run(mapped.view(), sources, options);
+  EXPECT_EQ(swept_shards(), 4.0);
+  (void)run(g, sources, base_options());
+  EXPECT_EQ(swept_shards(), 1.0);
 }
 
 TEST(ShardParity, OnlyOutOfCoreSweepsPayForShardAccounting) {
@@ -296,14 +289,12 @@ TEST(ShardParity, CompressedRejectsFrontierlessPreconditions) {
   const auto sources = spread_sources(mapped.view());
 
   SampledMixingOptions options = base_options();
-  options.sharded = shards(4);
   options.mapped = &mapped;
   options.reorder = graph::ReorderMode::kRcm;
   EXPECT_THROW(measure_sampled_mixing(mapped.view(), sources, options),
                std::invalid_argument);
 
-  SampledMixingOptions no_mapped = base_options();
-  no_mapped.sharded = shards(4);
+  const SampledMixingOptions no_mapped = base_options();
   EXPECT_THROW(measure_sampled_mixing(mapped.view(), sources, no_mapped),
                std::invalid_argument);
 
@@ -327,12 +318,9 @@ TEST(ShardParity, PackedContainerMatchesInMemoryBitwise) {
   const graph::sharded::MappedGraph mapped{path.string()};
   ASSERT_EQ(mapped.view().num_nodes(), g.num_nodes());
 
-  SampledMixingOptions dense_options = base_options();
-  dense_options.sharded = graph::ShardPolicy{.mode = graph::ShardPolicy::Mode::kOff};
-  const SampledMixing dense = run(g, sources, dense_options);
+  const SampledMixing dense = run(g, sources, base_options());
 
   SampledMixingOptions options = base_options();
-  options.sharded = shards(4);
   options.mapped = &mapped;
   const SampledMixing sharded = run(mapped.view(), sources, options);
   expect_bitwise_equal(dense, sharded, "mapped container, 4 shards");
@@ -388,13 +376,12 @@ class ShardResumeTest : public ::testing::Test {
     fs::remove_all(dir_);
   }
 
-  [[nodiscard]] SampledMixingOptions options(std::uint32_t shard_count) const {
+  /// Checkpointed options over `mapped`'s pack plan, or over the
+  /// in-memory one-shard plan when null.
+  [[nodiscard]] SampledMixingOptions options(
+      const graph::sharded::MappedGraph* mapped = nullptr) const {
     SampledMixingOptions opts = base_options();
-    if (shard_count == 0) {
-      opts.sharded = graph::ShardPolicy{.mode = graph::ShardPolicy::Mode::kOff};
-    } else {
-      opts.sharded = shards(shard_count);
-    }
+    opts.mapped = mapped;
     opts.checkpoint.dir = dir_.string();
     opts.checkpoint.interval = 1;
     return opts;
@@ -407,16 +394,16 @@ TEST_F(ShardResumeTest, KilledShardedRunResumesBitIdenticalToDense) {
   const auto spec = gen::find_dataset("Physics 1");
   const graph::Graph g = gen::build_dataset(*spec, kNodes, 13);
   const auto sources = spread_sources(g, 3 * BatchedEvolver::kDefaultBlock);
-  SampledMixingOptions dense_options = base_options();
-  dense_options.sharded = graph::ShardPolicy{.mode = graph::ShardPolicy::Mode::kOff};
-  const SampledMixing dense = run(g, sources, dense_options);
+  const SampledMixing dense = run(g, sources, base_options());
+  const graph::sharded::MappedGraph sharded = pack(g, 4, "resume_killed_4");
 
   resilience::arm_fault("block.complete:2:error");
-  EXPECT_THROW(measure_sampled_mixing(g, sources, options(4)),
+  EXPECT_THROW(measure_sampled_mixing(sharded.view(), sources, options(&sharded)),
                resilience::InjectedFault);
   resilience::disarm_faults();
 
-  const SampledMixing resumed = measure_sampled_mixing(g, sources, options(4));
+  const SampledMixing resumed =
+      measure_sampled_mixing(sharded.view(), sources, options(&sharded));
   expect_bitwise_equal(dense, resumed, "resumed sharded vs uninterrupted dense");
 }
 
@@ -437,12 +424,9 @@ TEST_F(ShardResumeTest, KilledMidPrefetchAcrossShardBoundaryResumesBitIdentical)
   const graph::sharded::MappedGraph mapped{pack.string()};
   const auto sources = spread_sources(mapped.view(), 3 * BatchedEvolver::kDefaultBlock);
 
-  SampledMixingOptions dense_options = base_options();
-  dense_options.sharded = graph::ShardPolicy{.mode = graph::ShardPolicy::Mode::kOff};
-  const SampledMixing dense = run(g, sources, dense_options);
+  const SampledMixing dense = run(g, sources, base_options());
 
-  SampledMixingOptions packed = options(4);
-  packed.mapped = &mapped;
+  const SampledMixingOptions packed = options(&mapped);
   // 3 blocks x kSteps sweeps x 4 shards of acquire calls; the 150th lands
   // mid-run, past the first checkpointed blocks.
   resilience::arm_fault("shard.window:150:error");
@@ -459,13 +443,13 @@ TEST_F(ShardResumeTest, ForeignShardGeometrySnapshotClassifiesStale) {
   const auto spec = gen::find_dataset("Physics 1");
   const graph::Graph g = gen::build_dataset(*spec, kNodes, 13);
   const auto sources = spread_sources(g, 3 * BatchedEvolver::kDefaultBlock);
-  SampledMixingOptions dense_options = base_options();
-  dense_options.sharded = graph::ShardPolicy{.mode = graph::ShardPolicy::Mode::kOff};
-  const SampledMixing baseline = run(g, sources, dense_options);
+  const SampledMixing baseline = run(g, sources, base_options());
+  const graph::sharded::MappedGraph four = pack(g, 4, "foreign_geometry_4");
+  const graph::sharded::MappedGraph sixteen = pack(g, 16, "foreign_geometry_16");
 
-  // Leave a partial snapshot written under a 4-shard geometry...
+  // Leave a partial snapshot written under a 4-shard pack...
   resilience::arm_fault("block.complete:2:error");
-  EXPECT_THROW(measure_sampled_mixing(g, sources, options(4)),
+  EXPECT_THROW(measure_sampled_mixing(four.view(), sources, options(&four)),
                resilience::InjectedFault);
   resilience::disarm_faults();
 
@@ -478,10 +462,12 @@ TEST_F(ShardResumeTest, ForeignShardGeometrySnapshotClassifiesStale) {
   };
   const std::uint64_t stale_before = stale_count();
 #endif
-  // ...then resume under 16 shards: the context word differs, so the
-  // snapshot classifies stale and everything recomputes — to the same
-  // bits (geometry never changes results, only provenance).
-  const SampledMixing resumed = measure_sampled_mixing(g, sources, options(16));
+  // ...then resume over a 16-shard pack of the same graph: the context
+  // word differs, so the snapshot classifies stale and everything
+  // recomputes — to the same bits (geometry never changes results, only
+  // provenance).
+  const SampledMixing resumed =
+      measure_sampled_mixing(sixteen.view(), sources, options(&sixteen));
   expect_bitwise_equal(baseline, resumed, "recomputed after stale geometry");
 #if SOCMIX_OBS_ENABLED
   EXPECT_GT(stale_count(), stale_before);
@@ -489,15 +475,16 @@ TEST_F(ShardResumeTest, ForeignShardGeometrySnapshotClassifiesStale) {
 }
 
 TEST_F(ShardResumeTest, DenseGeometryKeepsPreShardSnapshotsCompatible) {
-  // A sharded=off run and a sharded=1 run fold no shard word, so a
-  // snapshot written by either replays into the other (and into runs of
-  // builds that predate sharding entirely).
+  // An in-memory run and a run over a one-shard pack fold no shard word,
+  // so a snapshot written by either replays into the other (and into runs
+  // of builds that predate sharding entirely).
   const auto spec = gen::find_dataset("Physics 1");
   const graph::Graph g = gen::build_dataset(*spec, kNodes, 13);
   const auto sources = spread_sources(g, 3 * BatchedEvolver::kDefaultBlock);
+  const graph::sharded::MappedGraph single = pack(g, 1, "dense_geometry_1");
 
   resilience::arm_fault("block.complete:2:error");
-  EXPECT_THROW(measure_sampled_mixing(g, sources, options(0)),
+  EXPECT_THROW(measure_sampled_mixing(g, sources, options()),
                resilience::InjectedFault);
   resilience::disarm_faults();
 
@@ -510,11 +497,10 @@ TEST_F(ShardResumeTest, DenseGeometryKeepsPreShardSnapshotsCompatible) {
   };
   const std::uint64_t restored_before = restored_count();
 #endif
-  const SampledMixing resumed = measure_sampled_mixing(g, sources, options(1));
-  SampledMixingOptions dense_options = base_options();
-  dense_options.sharded = graph::ShardPolicy{.mode = graph::ShardPolicy::Mode::kOff};
-  expect_bitwise_equal(run(g, sources, dense_options), resumed,
-                       "sharded=1 resume of a sharded=off snapshot");
+  const SampledMixing resumed =
+      measure_sampled_mixing(single.view(), sources, options(&single));
+  expect_bitwise_equal(run(g, sources, base_options()), resumed,
+                       "one-shard pack resume of an in-memory snapshot");
 #if SOCMIX_OBS_ENABLED
   EXPECT_GT(restored_count(), restored_before);
 #endif

@@ -2,7 +2,8 @@
 # gtest death tests cannot reach: the measurement is genuinely killed
 # (--fault-inject ...:abort exits via _Exit, no cleanup), restarted with
 # the same --checkpoint-dir, and its --tvd-out trajectories must be
-# byte-for-byte identical to an uninterrupted run — at 1 and 8 threads.
+# byte-for-byte identical to an uninterrupted run — resumed at 1 and 8
+# threads.
 #
 # Driven by the resume_cli_e2e ctest (see tools/CMakeLists.txt):
 #   cmake -DSOCMIX_BIN=<socmix> -DOUT_DIR=<dir> -P check_resume.cmake
@@ -32,14 +33,20 @@ endif()
 foreach(threads 1 8)
   set(ckpt_dir "${OUT_DIR}/ckpt-${threads}")
 
+  # The killed run is pinned to one thread: blocks then complete in order,
+  # so the abort at the 5th completion always lands after the snapshot of
+  # the first four. With several workers the 5th fault-point hit can come
+  # before two blocks are recorded, leaving no snapshot to resume from.
+  set(ENV{SOCMIX_THREADS} 1)
   execute_process(
     COMMAND "${SOCMIX_BIN}" ${common_args}
             --checkpoint-dir "${ckpt_dir}" --checkpoint-interval 2
             --fault-inject block.complete:5:abort
     RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)
+  unset(ENV{SOCMIX_THREADS})
   if(NOT rc EQUAL ${fault_exit_code})
-    message(FATAL_ERROR "fault injection did not kill the run at ${threads} "
-                        "threads: exit ${rc}, expected ${fault_exit_code}")
+    message(FATAL_ERROR "fault injection did not kill the run before the "
+                        "${threads}-thread resume: exit ${rc}, expected ${fault_exit_code}")
   endif()
   file(GLOB snapshots "${ckpt_dir}/*.ckpt")
   if(snapshots STREQUAL "")

@@ -7,9 +7,13 @@
 //
 // Mirrors the preprocessing of `socmix measure`: load/build, extract the
 // largest connected component, optionally relabel (--reorder), then write
-// the CSR with a pack-time shard plan resolved by --sharded against the
-// CSR byte size. `socmix measure --pack g.smxg` maps the result with zero
-// parse cost; the walk engines stream it window-at-a-time. --compress
+// the CSR with a shard plan resolved by --sharded against the CSR byte
+// size. This is the one place shard geometry is chosen: `socmix measure
+// --pack g.smxg` maps the result with zero parse cost and the walk
+// engines stream it window-at-a-time under the stored plan, with no
+// option to re-plan. `auto` budgets three resident copies of a shard
+// window for a compressed pack (two decoded scratch slots plus the mapped
+// ADJC bytes) and two for a raw one (current + next). --compress
 // emits the adjacency as the delta + stream-vbyte ADJC section (format
 // version 2, roughly half the bytes per edge; see sharded/adjc.hpp), which
 // the measurement decodes shard-wise, one shard ahead of compute on a
@@ -214,15 +218,10 @@ int run(const util::Cli& cli) {
   const graph::ShardPolicy policy = core::sharded_from_cli(cli);
   graph::sharded::WriteOptions write_options;
   write_options.compress = cli.get_flag("compress");
-  // Compressed runs keep a third adjacency copy in flight (the decoded
-  // scratch window); fold that into the pack-time auto plan the same way
-  // the measurement does at load time.
   const std::uint32_t shards = graph::resolve_shard_count(
       policy, packed.memory_bytes(), packed.num_nodes(),
       write_options.compress ? 3u : 2u);
-  const graph::ShardPlan plan =
-      shards > 1 ? graph::ShardPlan::balanced(packed.offsets(), shards)
-                 : graph::ShardPlan::single(packed.num_nodes());
+  const graph::ShardPlan plan = graph::ShardPlan::balanced(packed.offsets(), shards);
   graph::sharded::write_smxg_file(out, packed, plan, write_options);
   std::fprintf(stderr, "packed %s -> %s: %s nodes, %s edges, %u shard%s%s\n",
                name.c_str(), out.c_str(),

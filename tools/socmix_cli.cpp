@@ -47,7 +47,8 @@ int usage() {
       "usage: socmix <info|measure|sample|trim|convert|sybil|generate> [options]\n"
       "  input:  --edges FILE | --dataset NAME [--nodes N]   (--seed N)\n"
       "          --pack FILE.smxg   mmap a packed container (measure/sybil;\n"
-      "                             see tools/graph_pack; stores the LCC;\n"
+      "                             see tools/graph_pack; stores the LCC and\n"
+      "                             the shard plan every sweep follows;\n"
       "                             compressed containers are measure-only)\n"
       "  obs:    --metrics-out FILE (.json/.csv)  --trace-out FILE  --progress\n"
       "          --sample-out FILE.jsonl [--sample-interval-ms N]   in-run time-series\n"
@@ -58,7 +59,6 @@ int usage() {
       "          --reorder none|degree|rcm|bfs   vertex ordering for the kernels\n"
       "          --frontier auto|off|FRAC        adaptive frontier-sparse sweeps\n"
       "          --precision f64|mixed           sampled-walk kernel precision\n"
-      "          --sharded auto|off|N            shard-at-a-time out-of-core sweeps\n"
       "          (SOCMIX_SIMD=avx512|avx2|scalar forces the simd kernel tier)\n"
       "  info                                    structural report\n"
       "  measure [--sources N] [--steps N] [--eps X] [--tvd-out FILE]\n"
@@ -197,7 +197,6 @@ int cmd_measure(const util::Cli& cli, const resilience::CheckpointOptions& check
   options.reorder = core::reorder_from_cli(cli);
   options.frontier = core::frontier_from_cli(cli);
   options.precision = core::precision_from_cli(cli);
-  options.sharded = core::sharded_from_cli(cli);
   options.mapped = input.mapped_ptr();
   const std::string spectral = cli.get("spectral", "on");
   if (spectral == "on" || spectral == "off") {
@@ -282,7 +281,6 @@ int cmd_sybil(const util::Cli& cli, const resilience::CheckpointOptions& checkpo
 
   sybil::AdmissionSweepConfig config;
   config.checkpoint = checkpoint;
-  config.sharded = core::sharded_from_cli(cli);
   config.mapped = input.mapped_ptr();
   // split() returns views into its argument, so the string must outlive the loop.
   const std::string widths = cli.get("w", "2,4,8,16,24,32");
