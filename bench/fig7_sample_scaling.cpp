@@ -72,7 +72,6 @@ int main(int argc, char** argv) {
       options.max_steps = max_steps;
       options.seed = config.seed;
       options.checkpoint = config.checkpoint;
-      options.reorder = config.reorder;
       options.frontier = config.frontier;
       options.precision = config.precision;
       const auto report = core::measure_mixing(g, spec.name, options);

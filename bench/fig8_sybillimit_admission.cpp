@@ -78,7 +78,6 @@ int main(int argc, char** argv) {
     sweep.r0 = r0;
     sweep.seed = config.seed;
     sweep.checkpoint = config.checkpoint;
-    sweep.reorder = config.reorder;
     sweep.frontier = config.frontier;
     // Per-panel stem: panels share one --checkpoint-dir without clobbering.
     if (sweep.checkpoint.enabled()) {

@@ -1,4 +1,5 @@
-// Kernel throughput under each vertex ordering (--reorder ablation).
+// Kernel throughput under each pack-time vertex ordering (the
+// graph_pack --reorder ablation).
 //
 // For a fast-class and a slow-class Table-1 stand-in, and for two base
 // labelings — "native" (generator order; community generators label
@@ -15,8 +16,10 @@
 // round; the minimum wall time over `--rounds` rounds is reported (min
 // filters scheduler noise). Orderings only relabel the graph — results
 // stay within the documented tolerance of identity ordering — so the
-// numbers are pure memory-locality effects. Locality stats (bandwidth,
-// mean neighbor-label distance) are recorded alongside the timings.
+// numbers are pure memory-locality effects of the kernels alone; the
+// end-to-end effect of an ordering is smaller (see README). Locality
+// stats (bandwidth, mean neighbor-label distance) are recorded alongside
+// the timings.
 //
 //   micro_reorder [--nodes N] [--steps N] [--rounds N] [--quick]
 //                 [--out bench_results/micro_reorder.csv]
@@ -129,8 +132,7 @@ int main(int argc, char** argv) {
   // the latter, whose CSR has exploitable block structure).
   const std::vector<std::string> dataset_names{"Facebook", "Livejournal A"};
   const std::vector<graph::ReorderMode> modes{
-      graph::ReorderMode::kNone, graph::ReorderMode::kDegree,
-      graph::ReorderMode::kRcm, graph::ReorderMode::kBfs};
+      graph::ReorderMode::kNone, graph::ReorderMode::kRcm, graph::ReorderMode::kBfs};
 
   std::vector<Row> rows;
   for (const std::string& name : dataset_names) {

@@ -87,7 +87,7 @@ class Harness {
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
   void set_name(std::string name);
 
-  /// Records a provenance flag (reorder/frontier/precision/scale/...).
+  /// Records a provenance flag (frontier/precision/scale/...).
   void set_flag(std::string key, std::string value);
 
   /// Disables per-repeat counter capture (the obs-overhead control arm

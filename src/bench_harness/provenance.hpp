@@ -27,7 +27,7 @@ struct Provenance {
   std::string compiler;    ///< compiler id + version
   std::string simd_tier;   ///< resolved linalg.simd tier (forces the probe)
   std::uint64_t threads = 0;  ///< util::parallel pool width at capture
-  /// Perf-relevant run flags (reorder/frontier/precision/...), caller-set.
+  /// Perf-relevant run flags (frontier/precision/...), caller-set.
   std::vector<std::pair<std::string, std::string>> flags;
 };
 

@@ -37,10 +37,6 @@ struct ExperimentConfig {
   /// --checkpoint-interval (dir empty = off). Drivers forward this into
   /// MeasurementOptions.checkpoint / AdmissionSweepConfig.checkpoint.
   resilience::CheckpointOptions checkpoint;
-  /// Vertex ordering for the compute kernels, parsed from
-  /// --reorder=rcm|degree|bfs|none (default none). Drivers forward this
-  /// into MeasurementOptions.reorder / AdmissionSweepConfig.reorder.
-  graph::ReorderMode reorder = graph::ReorderMode::kNone;
   /// Adaptive frontier phase of the evolution engine, parsed from
   /// --frontier=auto|off|<fraction> (default auto). Results are
   /// bit-identical on or off — this is purely a speed knob. Drivers
@@ -48,7 +44,7 @@ struct ExperimentConfig {
   /// AdmissionSweepConfig.frontier.
   graph::FrontierPolicy frontier;
   /// Kernel precision, parsed from --precision=f64|mixed (default f64).
-  /// f64 is the exact-parity path (bit-identical across threads, reorder,
+  /// f64 is the exact-parity path (bit-identical across threads,
   /// frontier, and simd tiers); mixed stores walk state as float32 with
   /// float64 compensated accumulation (see linalg/simd/kernels.hpp for
   /// the accuracy budget). Drivers forward this into
@@ -60,15 +56,12 @@ struct ExperimentConfig {
   /// calls configure_observability (--metrics-out / --trace-out /
   /// --progress) and configure_resilience (--checkpoint-dir /
   /// --checkpoint-interval / --fault-inject), so those flags work in
-  /// every driver. Throws std::invalid_argument on an unknown --reorder
-  /// value.
+  /// every driver. Throws std::invalid_argument on an unknown --frontier
+  /// or --precision value. Drivers measure the stand-ins under their
+  /// generator labels: vertex ordering is a pack-time choice
+  /// (tools/graph_pack --reorder), not an experiment knob.
   [[nodiscard]] static ExperimentConfig from_cli(const util::Cli& cli);
 };
-
-/// Parses --reorder (default "none"); throws std::invalid_argument naming
-/// the bad value and the accepted ones. Shared by from_cli and tools that
-/// parse their own Cli (socmix measure/sybil).
-[[nodiscard]] graph::ReorderMode reorder_from_cli(const util::Cli& cli);
 
 /// Parses --frontier (default "auto"); throws std::invalid_argument naming
 /// the bad value and the accepted ones. Shared by from_cli and tools that

@@ -1,7 +1,5 @@
 #include "core/measurement.hpp"
 
-#include <stdexcept>
-
 #include "bench_harness/harness.hpp"
 #include "linalg/walk_operator.hpp"
 #include "obs/obs.hpp"
@@ -20,32 +18,15 @@ MixingReport measure_mixing(const graph::Graph& g, std::string name,
   report.nodes = g.num_nodes();
   report.edges = g.num_edges();
 
-  // Compressed containers (headless CSR): adjacency only exists as ADJC
-  // blocks the shard pipelines decode, so reordering — which walks
-  // neighbors up front — cannot run. Caught here so both phases fail with
-  // the same message before any work starts.
-  const bool headless = g.headless();
-  if (headless && options.reorder != graph::ReorderMode::kNone) {
-    throw std::invalid_argument{
-        "measure_mixing: reordering needs in-memory adjacency; use --reorder "
-        "none with compressed containers"};
-  }
-
   if (options.spectral && g.num_nodes() > 0) {
     SOCMIX_TRACE_SPAN("phase.spectral");
     const util::Timer timer;
-    // Lanczos runs on the relabeled CSR; the spectrum is label-invariant,
-    // so nothing maps back. (Reorder cost is O(m log m) — noise next to
-    // the iteration count, even though the sampled phase reorders again.)
-    const graph::ReorderedGraph reordered = graph::reorder_graph(g, options.reorder);
-    const graph::Graph& active = reordered.active(g);
     // Shard geometry never changes an output bit (rows are independent
     // under spmv); it only bounds the CSR residency. A headless graph's
     // adjacency exists only as the windows its pipeline decodes.
-    const graph::sharded::MappedGraph* mapped =
-        reordered.identity() ? options.mapped : nullptr;
-    const linalg::WalkOperator op{active, options.laziness,
-                                  graph::resolve_shard_plan(active, mapped), mapped};
+    const linalg::WalkOperator op{g, options.laziness,
+                                  graph::resolve_shard_plan(g, options.mapped),
+                                  options.mapped};
     const linalg::SpectrumResult spectrum = linalg::slem_spectrum(op, options.lanczos);
     report.spectral_ran = true;
     report.spectral_converged = spectrum.converged;
@@ -71,7 +52,6 @@ MixingReport measure_mixing(const graph::Graph& g, std::string name,
     sampled_options.max_steps = options.max_steps;
     sampled_options.laziness = options.laziness;
     sampled_options.checkpoint = options.checkpoint;
-    sampled_options.reorder = options.reorder;
     sampled_options.frontier = options.frontier;
     sampled_options.precision = options.precision;
     sampled_options.mapped = options.mapped;

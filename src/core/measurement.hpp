@@ -6,6 +6,8 @@
 //      bounds on T(eps),
 //   3. sample initial distributions and evolve them, producing per-source
 //      TVD trajectories and their percentile aggregation.
+// Both phases run on the labels the graph carries. A locality ordering is
+// a pack-time choice (tools/graph_pack --reorder rcm|bfs), never made here.
 //
 // Example:
 //   const auto report = core::measure_mixing(g, "Physics 1", {});
@@ -20,7 +22,6 @@
 
 #include "graph/frontier.hpp"
 #include "graph/graph.hpp"
-#include "graph/reorder.hpp"
 #include "linalg/lanczos.hpp"
 #include "markov/mixing_time.hpp"
 
@@ -48,11 +49,6 @@ struct MeasurementOptions {
   /// derived from the measurement name, so multi-dataset drivers sharing
   /// one --checkpoint-dir keep distinct snapshots.
   resilience::CheckpointOptions checkpoint;
-  /// Vertex ordering both phases compute under (--reorder). The spectral
-  /// operator and the sampled walks run on the relabeled CSR; eigenvalues
-  /// are label-invariant and TVD scalars match identity ordering within
-  /// summation-order tolerance, so reported results are ordering-agnostic.
-  graph::ReorderMode reorder = graph::ReorderMode::kNone;
   /// Adaptive frontier phase of the sampled evolution (--frontier). While a
   /// walk's reachable set is small the evolver sweeps only those rows;
   /// results are bit-identical on or off — purely a speed knob.
@@ -67,12 +63,10 @@ struct MeasurementOptions {
   /// --pack), or null; must outlive the call. Both walk engines sweep its
   /// stored pack plan one shard at a time, keeping the CSR residency near
   /// two shard windows — bit-identical to the one-shard sweep an
-  /// in-memory `g` gets (graph::resolve_shard_plan). Ignored under a
-  /// non-identity reordering, which materializes a CSR the mapping no
-  /// longer backs. A compressed container (headless `g`) is mandatory:
-  /// both engines take their adjacency windows from its decoder, even
-  /// under a one-shard plan. It also disables the frontier phase and
-  /// requires --reorder none.
+  /// in-memory `g` gets (graph::resolve_shard_plan). A compressed
+  /// container (headless `g`) is mandatory: both engines take their
+  /// adjacency windows from its decoder, even under a one-shard plan. It
+  /// also disables the frontier phase.
   const graph::sharded::MappedGraph* mapped = nullptr;
 };
 

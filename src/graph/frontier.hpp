@@ -7,10 +7,11 @@
 // exposes it as sorted half-open row ranges, so the evolution engines can
 // sweep only the rows that can become nonzero and skip the rest (whose
 // dense result is exactly +0.0; see DESIGN.md "Frontier phase" for the
-// bit-parity argument). Under the locality orderings of reorder.hpp
-// (BFS/RCM) a t-hop ball occupies near-contiguous label intervals, so the
-// range list stays short and the sparse sweep streams almost like the
-// dense one — the two layers compose.
+// bit-parity argument). On a pack relabeled by one of the locality
+// orderings of reorder.hpp (graph_pack --reorder bfs|rcm) a t-hop ball
+// occupies near-contiguous label intervals, so the range list stays short
+// and the sparse sweep streams almost like the dense one — the two layers
+// compose.
 //
 // FrontierPolicy is the user-facing knob (--frontier auto|off|<frac>):
 // while the closure covers fewer than `row_fraction()` of the rows the

@@ -4,9 +4,7 @@
 #include <numeric>
 #include <stdexcept>
 
-#include "obs/obs.hpp"
 #include "util/rng.hpp"
-#include "util/timer.hpp"
 
 namespace socmix::graph {
 
@@ -90,19 +88,6 @@ std::vector<NodeId> order_to_perm(const std::vector<NodeId>& order) {
   return perm;
 }
 
-std::vector<NodeId> degree_sort_permutation(const Graph& g) {
-  const NodeId n = g.num_nodes();
-  std::vector<NodeId> order(n);
-  std::iota(order.begin(), order.end(), NodeId{0});
-  // Hubs first: the heavy gather targets pack into a small hot prefix.
-  std::sort(order.begin(), order.end(), [&g](NodeId a, NodeId b) {
-    const NodeId da = g.degree(a);
-    const NodeId db = g.degree(b);
-    return da != db ? da > db : a < b;
-  });
-  return order_to_perm(order);
-}
-
 std::vector<NodeId> traversal_permutation(const Graph& g, bool rcm) {
   const NodeId n = g.num_nodes();
   std::vector<bool> visited(n, false);
@@ -131,7 +116,6 @@ std::vector<NodeId> traversal_permutation(const Graph& g, bool rcm) {
 std::string_view reorder_mode_name(ReorderMode mode) noexcept {
   switch (mode) {
     case ReorderMode::kNone: return "none";
-    case ReorderMode::kDegree: return "degree";
     case ReorderMode::kRcm: return "rcm";
     case ReorderMode::kBfs: return "bfs";
   }
@@ -140,7 +124,6 @@ std::string_view reorder_mode_name(ReorderMode mode) noexcept {
 
 std::optional<ReorderMode> parse_reorder_mode(std::string_view name) noexcept {
   if (name.empty() || name == "none") return ReorderMode::kNone;
-  if (name == "degree") return ReorderMode::kDegree;
   if (name == "rcm") return ReorderMode::kRcm;
   if (name == "bfs") return ReorderMode::kBfs;
   return std::nullopt;
@@ -153,8 +136,6 @@ std::vector<NodeId> reorder_permutation(const Graph& g, ReorderMode mode) {
       std::iota(identity.begin(), identity.end(), NodeId{0});
       return identity;
     }
-    case ReorderMode::kDegree:
-      return degree_sort_permutation(g);
     case ReorderMode::kRcm:
       return traversal_permutation(g, /*rcm=*/true);
     case ReorderMode::kBfs:
@@ -227,28 +208,9 @@ LocalityStats locality_stats(const Graph& g) noexcept {
   return stats;
 }
 
-ReorderedGraph reorder_graph(const Graph& g, ReorderMode mode) {
-  ReorderedGraph out;
-  out.mode = mode;
-  SOCMIX_GAUGE_SET("reorder.mode", static_cast<double>(mode));
-  if (mode == ReorderMode::kNone) return out;
-
-  SOCMIX_TRACE_SPAN("graph.reorder");
-  const util::Timer timer;
-  out.perm = reorder_permutation(g, mode);
-  out.graph = apply_permutation(g, out.perm);
-  SOCMIX_COUNTER_ADD("reorder.applied", 1);
-  SOCMIX_GAUGE_SET("reorder.seconds", timer.seconds());
-#if SOCMIX_OBS_ENABLED
-  // Two O(m) passes that only feed gauges: skipped when obs is compiled out.
-  const LocalityStats before = locality_stats(g);
-  const LocalityStats after = locality_stats(out.graph);
-  SOCMIX_GAUGE_SET("reorder.bandwidth_before", static_cast<double>(before.bandwidth));
-  SOCMIX_GAUGE_SET("reorder.bandwidth_after", static_cast<double>(after.bandwidth));
-  SOCMIX_GAUGE_SET("reorder.avg_neighbor_distance_before", before.avg_neighbor_distance);
-  SOCMIX_GAUGE_SET("reorder.avg_neighbor_distance_after", after.avg_neighbor_distance);
-#endif
-  return out;
+Graph reorder_graph(Graph g, ReorderMode mode) {
+  if (mode == ReorderMode::kNone) return g;
+  return apply_permutation(g, reorder_permutation(g, mode));
 }
 
 }  // namespace socmix::graph

@@ -13,9 +13,9 @@
 // bit, only the order pages stream from disk.
 //
 // The plan follows the input, with no knob at measurement time
-// (resolve_shard_plan): an in-memory CSR, reordered or not, is the
-// one-shard plan; a mapped `.smxg` container sweeps the plan it was
-// packed with. ShardPolicy is the pack-time knob (`graph_pack --sharded
+// (resolve_shard_plan): an in-memory CSR is the one-shard plan; a mapped
+// `.smxg` container sweeps the plan it was packed with (graph_pack
+// chooses the plan after relabeling, so it fits the stored ordering). ShardPolicy is the pack-time knob (`graph_pack --sharded
 // auto|off|N`): `auto` targets a fixed per-shard CSR byte budget (small
 // graphs resolve to one shard), `off` forces one shard, `N` forces a
 // shard count. The swept plan's shard count feeds shard_context_word so

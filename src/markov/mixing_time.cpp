@@ -149,34 +149,6 @@ SampledMixing::PercentileCurves SampledMixing::percentile_curves(
   return out;
 }
 
-namespace {
-
-// The non-graph half of the checkpoint fingerprint, shared between the
-// public entry point (which hashes the CSR) and the compressed path
-// (which substitutes the container's pack-time fingerprint).
-std::uint64_t mixing_fingerprint_from(std::uint64_t h,
-                                      std::span<const graph::NodeId> sources,
-                                      std::size_t max_steps, double laziness,
-                                      graph::ReorderMode reorder) {
-  h = util::hash_combine(h, sources.size());
-  for (const graph::NodeId s : sources) h = util::hash_combine(h, s);
-  h = util::hash_combine(h, max_steps);
-  h = util::hash_combine(h, std::bit_cast<std::uint64_t>(laziness));
-  h = util::hash_combine(h, BatchedEvolver::kDefaultBlock);
-  h = util::hash_combine(h, static_cast<std::uint64_t>(reorder));
-  return h;
-}
-
-}  // namespace
-
-std::uint64_t sampled_mixing_fingerprint(const graph::Graph& g,
-                                         std::span<const graph::NodeId> sources,
-                                         std::size_t max_steps, double laziness,
-                                         graph::ReorderMode reorder) {
-  return mixing_fingerprint_from(graph::structural_fingerprint(g), sources,
-                                 max_steps, laziness, reorder);
-}
-
 SampledMixing measure_sampled_mixing(const graph::Graph& g,
                                      std::span<const graph::NodeId> sources,
                                      const SampledMixingOptions& options) {
@@ -188,41 +160,18 @@ SampledMixing measure_sampled_mixing(const graph::Graph& g,
 
   // Compressed containers hand us a headless CSR (offsets only): the
   // adjacency exists solely as ADJC blocks the shard pipeline decodes on
-  // the fly. Everything that walks neighbors outside the pipeline —
-  // reordering, the frontier closure — must be off, and the mapping is
-  // not optional.
+  // the fly. The frontier closure, which walks neighbors outside the
+  // pipeline, must be off, and the mapping is not optional.
   const bool headless = g.headless();
-  if (headless) {
-    if (options.mapped == nullptr || !options.mapped->compressed()) {
-      throw std::invalid_argument{
-          "measure_sampled_mixing: a headless graph needs its compressed "
-          "MappedGraph (SampledMixingOptions::mapped)"};
-    }
-    if (options.reorder != graph::ReorderMode::kNone) {
-      throw std::invalid_argument{
-          "measure_sampled_mixing: reordering needs in-memory adjacency; use "
-          "--reorder none with compressed containers"};
-    }
+  if (headless && (options.mapped == nullptr || !options.mapped->compressed())) {
+    throw std::invalid_argument{
+        "measure_sampled_mixing: a headless graph needs its compressed "
+        "MappedGraph (SampledMixingOptions::mapped)"};
   }
   graph::FrontierPolicy frontier = options.frontier;
   if (headless) frontier.mode = graph::FrontierPolicy::Mode::kOff;
 
-  // Locality layer: relabel the graph for gather locality and map the
-  // sources into the new id space. Everything below runs on `active`; the
-  // per-step TVD scalars are permutation-invariant up to summation order
-  // (the fused reduction sums rows in ascending *new* labels), so no
-  // permute-back is needed — results are reported under the original
-  // source ids via the untouched `sources` span.
-  const graph::ReorderedGraph reordered = graph::reorder_graph(g, options.reorder);
-  const graph::Graph& active = reordered.active(g);
-  std::vector<graph::NodeId> mapped_sources;
-  if (!reordered.identity()) {
-    mapped_sources.reserve(num_sources);
-    for (const graph::NodeId s : sources) mapped_sources.push_back(reordered.to_new(s));
-  }
-  const std::span<const graph::NodeId> eval_sources =
-      reordered.identity() ? sources : std::span<const graph::NodeId>{mapped_sources};
-  const std::vector<double> pi = stationary_distribution(active);
+  const std::vector<double> pi = stationary_distribution(g);
 
   // Sources are evolved B at a time by a BatchedEvolver (one CSR sweep per
   // step serves the whole block) and the blocks are distributed across the
@@ -239,37 +188,39 @@ SampledMixing measure_sampled_mixing(const graph::Graph& g,
   // blocks are replayed from their stored (bit-exact) trajectories instead
   // of being recomputed, so resume composes with the determinism contract.
   // The context word versions the knobs that change how results are
-  // produced: the ordering, the frontier mode, and the kernel precision
-  // (which, unlike the first two, also perturbs the trajectories within
-  // the mixed budget — replaying a mixed snapshot into an f64 run would
-  // silently launder quantization error into the exact-parity path). A
-  // snapshot from a foreign combination classifies stale, not corrupt.
-  // Shard geometry follows the input: a mapped container's pack plan, or
-  // one shard (folding no context word) for an in-memory CSR — including a
-  // reordering, which materializes a CSR the mapping no longer backs.
-  const graph::sharded::MappedGraph* mapped =
-      reordered.identity() ? options.mapped : nullptr;
-  const graph::ShardPlan plan = graph::resolve_shard_plan(active, mapped);
+  // produced: the frontier mode and the kernel precision (which, unlike
+  // the first, also perturbs the trajectories within the mixed budget —
+  // replaying a mixed snapshot into an f64 run would silently launder
+  // quantization error into the exact-parity path). A snapshot from a
+  // foreign combination classifies stale, not corrupt. The vertex
+  // ordering needs no term: it is part of the graph, so the graph word of
+  // the fingerprint already separates differently ordered packs. Shard
+  // geometry follows the input: a mapped container's pack plan, or one
+  // shard (folding no context word) for an in-memory CSR.
+  const graph::ShardPlan plan = graph::resolve_shard_plan(g, options.mapped);
 #if SOCMIX_OBS_ENABLED
   SOCMIX_GAUGE_SET("markov.sampled.shards", plan.num_shards());
 #endif
-  std::uint64_t context = util::hash_combine(
-      util::hash_combine(static_cast<std::uint64_t>(options.reorder),
-                         graph::frontier_context_word(frontier)),
-      linalg::simd::precision_context_word(options.precision));
+  std::uint64_t context =
+      util::hash_combine(graph::frontier_context_word(frontier),
+                         linalg::simd::precision_context_word(options.precision));
   const std::uint64_t shard_word = graph::shard_context_word(plan.num_shards());
   if (shard_word != 0) context = util::hash_combine(context, shard_word);
-  // A headless graph's structural fingerprint would sample an empty
-  // neighbor span; the container carries the pack-time fingerprint of the
-  // full CSR, which is what keeps compressed checkpoints interchangeable
-  // with dense/uncompressed ones.
-  const std::uint64_t graph_word =
+  // The fingerprint is the graph word combined with the exact source
+  // list, step budget, laziness bits and block width. A headless graph's
+  // structural fingerprint would sample an empty neighbor span; the
+  // container carries the pack-time fingerprint of the full CSR, which is
+  // what keeps compressed checkpoints interchangeable with
+  // dense/uncompressed ones.
+  std::uint64_t fingerprint =
       headless ? options.mapped->fingerprint() : graph::structural_fingerprint(g);
-  resilience::BlockCheckpoint checkpoint{
-      options.checkpoint,
-      mixing_fingerprint_from(graph_word, sources, max_steps, laziness,
-                              options.reorder),
-      num_blocks, context};
+  fingerprint = util::hash_combine(fingerprint, num_sources);
+  for (const graph::NodeId s : sources) fingerprint = util::hash_combine(fingerprint, s);
+  fingerprint = util::hash_combine(fingerprint, max_steps);
+  fingerprint = util::hash_combine(fingerprint, std::bit_cast<std::uint64_t>(laziness));
+  fingerprint = util::hash_combine(fingerprint, kBlock);
+  resilience::BlockCheckpoint checkpoint{options.checkpoint, fingerprint, num_blocks,
+                                         context};
   std::vector<std::size_t> pending;
   pending.reserve(num_blocks);
   if (checkpoint.enabled()) checkpoint.restore();
@@ -299,8 +250,8 @@ SampledMixing measure_sampled_mixing(const graph::Graph& g,
   // run's throughput instead of collapsing toward zero.
   progress.seed_restored(num_blocks - pending.size());
   util::parallel_for(0, pending.size(), 1, [&](std::size_t lo, std::size_t hi) {
-    BatchedEvolver evolver(active, laziness, kBlock, frontier, options.precision, plan,
-                           mapped);
+    BatchedEvolver evolver(g, laziness, kBlock, frontier, options.precision, plan,
+                           options.mapped);
     std::array<double, kBlock> tvd_lanes{};
     for (std::size_t p = lo; p < hi; ++p) {
       SOCMIX_TRACE_SPAN("evolve_block");
@@ -308,7 +259,7 @@ SampledMixing measure_sampled_mixing(const graph::Graph& g,
       const std::size_t first = blk * kBlock;
       const std::size_t lanes = std::min(kBlock, num_sources - first);
       const std::span<const double> tvd = std::span{tvd_lanes}.first(lanes);
-      evolver.seed_point_masses(eval_sources.subspan(first, lanes));
+      evolver.seed_point_masses(sources.subspan(first, lanes));
       for (std::size_t b = 0; b < lanes; ++b) {
         trajectories[first + b].reserve(max_steps);
       }

@@ -10,6 +10,10 @@
 // the TVD to pi after every step, and aggregate over sources: per-source
 // mixing times, source CDFs at fixed walk lengths (Figs 3-4), and
 // percentile curves of TVD vs walk length (Figs 5-7).
+//
+// Walks run on the labels the graph carries and sources are ids in that
+// labeling. A locality ordering is baked into a pack by tools/graph_pack
+// --reorder; the sweep never relabels.
 #pragma once
 
 #include <cstdint>
@@ -20,7 +24,6 @@
 
 #include "graph/frontier.hpp"
 #include "graph/graph.hpp"
-#include "graph/reorder.hpp"
 #include "graph/sharded/mapped_graph.hpp"
 #include "graph/sharded/plan.hpp"
 #include "linalg/simd/kernels.hpp"
@@ -125,24 +128,16 @@ struct SampledMixingOptions {
   /// rerun with the same graph/sources/steps/laziness resumes by skipping
   /// them. Resumed results are bit-identical to an uninterrupted run.
   resilience::CheckpointOptions checkpoint;
-  /// Vertex ordering the kernels compute under. The walk is evolved on the
-  /// relabeled CSR (better gather locality); sources are mapped in and the
-  /// per-step TVD scalars are label-invariant up to summation order, so
-  /// results match identity ordering within 1e-12 per step. Outputs are
-  /// always reported under the caller's original vertex ids. Checkpoints
-  /// are keyed on the mode: a snapshot written under a different ordering
-  /// is classified stale and recomputed.
-  graph::ReorderMode reorder = graph::ReorderMode::kNone;
   /// Adaptive frontier phase of the evolution engine (on by default):
   /// while a source block's support closure covers less than the policy's
   /// row fraction, sweeps touch only those rows — bit-identical to the
   /// dense path, so every parity/resume contract is unaffected. Folded
-  /// into the checkpoint context word alongside the ordering, so a
-  /// snapshot written under a different frontier mode classifies stale.
+  /// into the checkpoint context word, so a snapshot written under a
+  /// different frontier mode classifies stale.
   graph::FrontierPolicy frontier;
   /// Kernel precision (--precision). kFloat64 (default) is the exact-
-  /// parity path: bit-identical across thread counts, reorder/frontier
-  /// modes, and simd kernel tiers. kMixed stores lane state as float32
+  /// parity path: bit-identical across thread counts, frontier modes, and
+  /// simd kernel tiers. kMixed stores lane state as float32
   /// (half the gather traffic) with float64 arithmetic and a Neumaier-
   /// compensated TVD reduction; per-step TVD deviates from f64 by at most
   /// linalg::simd::kMixedTvdBudget, and steps whose headline ε-crossing
@@ -152,9 +147,8 @@ struct SampledMixingOptions {
   linalg::simd::Precision precision = linalg::simd::Precision::kFloat64;
   /// The mmap-backed container `g` was borrowed from, when the caller
   /// loaded one (socmix --pack). The BatchedEvolver sweeps its stored
-  /// pack plan shard by shard with madvise windowing; an in-memory `g`, or
-  /// a reordering (a fresh CSR the mapping no longer backs), is one shard
-  /// (graph::resolve_shard_plan). Every plan is bit-identical to the
+  /// pack plan shard by shard with madvise windowing; an in-memory `g` is
+  /// one shard (graph::resolve_shard_plan). Every plan is bit-identical to the
   /// one-shard sweep. A plan of > 1 shards folds graph::shard_context_word
   /// into the checkpoint context, so a snapshot written under a foreign
   /// geometry classifies stale; one shard folds nothing. A *compressed*
@@ -162,9 +156,8 @@ struct SampledMixingOptions {
   /// here: the shard pipeline decodes adjacency windows out of it, even
   /// under a one-shard plan.
   /// Compressed runs disable the frontier phase (its closure walk needs
-  /// in-memory adjacency) and reject reorder modes other than kNone —
-  /// none of which changes an output bit versus the same flags on the
-  /// dense CSR.
+  /// in-memory adjacency), which changes no output bit versus the same
+  /// flags on the dense CSR.
   const graph::sharded::MappedGraph* mapped = nullptr;
 };
 
@@ -183,16 +176,6 @@ struct SampledMixingOptions {
                                                    std::span<const graph::NodeId> sources,
                                                    std::size_t max_steps,
                                                    double laziness = 0.0);
-
-/// The fingerprint a sampled-mixing checkpoint is keyed on: the graph's
-/// structural fingerprint combined with the exact source list, step
-/// budget, laziness bits, the engine's block width, and the reorder mode.
-/// Always computed on the *original* graph and source ids, so callers can
-/// predict snapshot compatibility without materializing the reordering.
-[[nodiscard]] std::uint64_t sampled_mixing_fingerprint(
-    const graph::Graph& g, std::span<const graph::NodeId> sources,
-    std::size_t max_steps, double laziness,
-    graph::ReorderMode reorder = graph::ReorderMode::kNone);
 
 /// Uniformly samples `count` distinct sources (all vertices if count >= n).
 [[nodiscard]] std::vector<graph::NodeId> pick_sources(const graph::Graph& g,

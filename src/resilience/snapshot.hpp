@@ -37,8 +37,9 @@
 namespace socmix::resilience {
 
 // Version history: 1 = original frame; 2 = BlockCheckpoint payloads gained
-// a leading u64 execution-context word (vertex reorder mode), so files
-// written before it must be rejected as kBadVersion rather than misparsed.
+// a leading u64 execution-context word (the caller's execution knobs), so
+// files written before it must be rejected as kBadVersion rather than
+// misparsed.
 inline constexpr std::uint32_t kSnapshotVersion = 2;
 
 enum class SnapshotStatus {

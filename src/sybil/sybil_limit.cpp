@@ -111,8 +111,7 @@ std::uint64_t admission_sweep_fingerprint(const graph::Graph& g,
   h = util::hash_combine(h, config.verifier_sample);
   h = util::hash_combine(h, std::bit_cast<std::uint64_t>(config.r0));
   h = util::hash_combine(h, std::bit_cast<std::uint64_t>(config.balance_factor));
-  h = util::hash_combine(h, config.seed);
-  return util::hash_combine(h, static_cast<std::uint64_t>(config.reorder));
+  return util::hash_combine(h, config.seed);
 }
 
 std::vector<AdmissionPoint> admission_sweep(const graph::Graph& g,
@@ -120,22 +119,12 @@ std::vector<AdmissionPoint> admission_sweep(const graph::Graph& g,
   SOCMIX_TRACE_SPAN("sybil.admission_sweep");
   util::Rng rng{config.seed};
 
-  // Sample suspects/verifiers on the *original* graph (so the sampled id
-  // sets are ordering-independent), then relabel the graph for route-walk
-  // locality and map the samples in. Fractions are aggregates — nothing to
-  // map back out.
-  std::vector<graph::NodeId> suspects =
+  const std::vector<graph::NodeId> suspects =
       config.suspect_sample == 0
           ? markov::all_sources(g)
           : markov::pick_sources(g, config.suspect_sample, rng);
-  std::vector<graph::NodeId> verifiers =
+  const std::vector<graph::NodeId> verifiers =
       markov::pick_sources(g, std::max<std::size_t>(1, config.verifier_sample), rng);
-  const graph::ReorderedGraph reordered = graph::reorder_graph(g, config.reorder);
-  const graph::Graph& active = reordered.active(g);
-  if (!reordered.identity()) {
-    for (graph::NodeId& s : suspects) s = reordered.to_new(s);
-    for (graph::NodeId& v : verifiers) v = reordered.to_new(v);
-  }
 
   // Route-length points are independent (per-length admission state over
   // one shared protocol seed), so each one is a checkpoint block holding
@@ -147,19 +136,16 @@ std::vector<AdmissionPoint> admission_sweep(const graph::Graph& g,
   // Shard geometry follows the input (the container's pack plan, one shard
   // in memory). Routes address the CSR randomly, so it only steers
   // residency here, but non-trivial geometry still folds its context word.
-  const graph::sharded::MappedGraph* mapped =
-      reordered.identity() ? config.mapped : nullptr;
   const std::uint32_t resolved_shards =
-      graph::resolve_shard_plan(active, mapped).num_shards();
+      graph::resolve_shard_plan(g, config.mapped).num_shards();
   SOCMIX_GAUGE_SET("sybil.shard.count", resolved_shards);
   // The engine version joins the context word: pre-engine snapshots were
   // measured under per-length protocol seeds, so replaying them against
   // the shared-seed engine would silently mix distributions — classify
   // them stale and recompute instead.
   std::uint64_t context =
-      util::hash_combine(static_cast<std::uint64_t>(config.reorder),
-                         graph::frontier_context_word(config.frontier));
-  context = util::hash_combine(context, kAdmissionEngineVersion);
+      util::hash_combine(graph::frontier_context_word(config.frontier),
+                         kAdmissionEngineVersion);
   const std::uint64_t shard_word = graph::shard_context_word(resolved_shards);
   if (shard_word != 0) context = util::hash_combine(context, shard_word);
   resilience::BlockCheckpoint checkpoint{checkpoint_options,
@@ -189,13 +175,13 @@ std::vector<AdmissionPoint> admission_sweep(const graph::Graph& g,
     engine_config.balance_factor = config.balance_factor;
     engine_config.seed = config.seed;
     engine_config.frontier = config.frontier;
-    AdmissionEngine engine{active, engine_config, config.route_lengths};
+    AdmissionEngine engine{g, engine_config, config.route_lengths};
     fractions = engine.sweep_fractions(verifiers, suspects, pending_lengths);
     stats = engine.stats();
     // Out-of-core: the sweep's footprint is one w_max walk's touched
     // pages (shared-seed routes are prefixes of each other); drop them
     // before returning.
-    if (mapped != nullptr && resolved_shards > 1) mapped->release_all();
+    if (config.mapped != nullptr && resolved_shards > 1) config.mapped->release_all();
   }
   if (config.engine_stats != nullptr) *config.engine_stats = stats;
 

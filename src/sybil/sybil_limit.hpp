@@ -18,6 +18,11 @@
 //      - balance: the accepted suspect is assigned to its least-loaded
 //        intersecting V-tail, whose load must stay within
 //        b = balance_factor * max(log r, (accepted+1)/r).
+//
+// Routes are keyed on vertex labels (per-node pseudorandom permutations),
+// so the sweep runs on the labels the graph carries. A pack relabeled by
+// tools/graph_pack --reorder gives statistically equivalent, not
+// numerically identical, admitted fractions.
 #pragma once
 
 #include <cstdint>
@@ -29,7 +34,6 @@
 
 #include "graph/frontier.hpp"
 #include "graph/graph.hpp"
-#include "graph/reorder.hpp"
 #include "graph/sharded/mapped_graph.hpp"
 #include "graph/sharded/plan.hpp"
 #include "resilience/checkpoint.hpp"
@@ -138,26 +142,16 @@ struct AdmissionSweepConfig {
   /// points already measured — bit-identical, since points only depend on
   /// (graph, config, w).
   resilience::CheckpointOptions checkpoint;
-  /// Vertex ordering the sweep computes under. The graph is relabeled
-  /// internally and suspect/verifier ids mapped in; reported fractions are
-  /// aggregates, so no output mapping is needed. NOTE: unlike the walk
-  /// measurements, SybilLimit's random routes are keyed on vertex *labels*
-  /// (per-node pseudorandom permutations), so admitted fractions under a
-  /// non-identity ordering are statistically equivalent but not numerically
-  /// identical to kNone. The mode is part of the sweep fingerprint and the
-  /// checkpoint context, so snapshots never mix orderings.
-  graph::ReorderMode reorder = graph::ReorderMode::kNone;
   /// Hop-major route walking (see SybilLimitParams::frontier). Results are
   /// identical on or off; folded into the checkpoint context so snapshots
   /// never mix modes.
   graph::FrontierPolicy frontier;
-  /// The mmap-backed container `g` was borrowed from (or null); ignored
-  /// under a non-identity reordering. Its pack plan (one shard in memory,
-  /// graph::resolve_shard_plan) drives no windowed sweep — random routes
-  /// address the CSR randomly — but is reported (sybil.shard.count),
-  /// folded into the checkpoint context when non-trivial, and, for a
-  /// multi-shard container, releases the mapping after the sweep so its
-  /// peak footprint is the touched pages. Admitted fractions are
+  /// The mmap-backed container `g` was borrowed from (or null). Its pack
+  /// plan (one shard in memory, graph::resolve_shard_plan) drives no
+  /// windowed sweep — random routes address the CSR randomly — but is
+  /// reported (sybil.shard.count), folded into the checkpoint context when
+  /// non-trivial, and, for a multi-shard container, releases the mapping
+  /// after the sweep so its peak footprint is the touched pages. Admitted fractions are
   /// identical for every shard count.
   const graph::sharded::MappedGraph* mapped = nullptr;
   /// When non-null, receives the engine's cumulative statistics for the

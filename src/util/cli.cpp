@@ -35,34 +35,49 @@ Cli::Cli(int argc, const char* const* argv) {
   }
 }
 
-bool Cli::has(const std::string& name) const { return options_.contains(name); }
+const std::string* Cli::find(const std::string& name) const {
+  read_.insert(name);
+  const auto it = options_.find(name);
+  return it == options_.end() ? nullptr : &it->second;
+}
+
+bool Cli::has(const std::string& name) const { return find(name) != nullptr; }
 
 std::string Cli::get(const std::string& name, const std::string& fallback) const {
-  const auto it = options_.find(name);
-  return it == options_.end() ? fallback : it->second;
+  const std::string* value = find(name);
+  return value == nullptr ? fallback : *value;
 }
 
 std::int64_t Cli::get_i64(const std::string& name, std::int64_t fallback) const {
-  const auto it = options_.find(name);
-  if (it == options_.end()) return fallback;
-  const auto value = parse_i64(it->second);
-  if (!value) malformed(name, it->second, "an integer");
-  return *value;
+  const std::string* value = find(name);
+  if (value == nullptr) return fallback;
+  const auto parsed = parse_i64(*value);
+  if (!parsed) malformed(name, *value, "an integer");
+  return *parsed;
 }
 
 double Cli::get_f64(const std::string& name, double fallback) const {
-  const auto it = options_.find(name);
-  if (it == options_.end()) return fallback;
-  const auto value = parse_f64(it->second);
-  if (!value) malformed(name, it->second, "a number");
-  return *value;
+  const std::string* value = find(name);
+  if (value == nullptr) return fallback;
+  const auto parsed = parse_f64(*value);
+  if (!parsed) malformed(name, *value, "a number");
+  return *parsed;
 }
 
 bool Cli::get_flag(const std::string& name) const {
-  const auto it = options_.find(name);
-  if (it == options_.end()) return false;
-  const std::string v = to_lower(it->second);
+  const std::string* value = find(name);
+  if (value == nullptr) return false;
+  const std::string v = to_lower(*value);
   return v == "true" || v == "1" || v == "yes" || v == "on";
+}
+
+void Cli::reject_unknown() const {
+  std::string unknown;
+  for (const auto& [name, value] : options_) {
+    if (read_.contains(name)) continue;
+    unknown += (unknown.empty() ? "--" : ", --") + name;
+  }
+  if (!unknown.empty()) throw std::invalid_argument{"unknown option " + unknown};
 }
 
 }  // namespace socmix::util

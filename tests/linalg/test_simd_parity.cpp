@@ -2,8 +2,9 @@
 //
 //  * the default f64 path is BIT-IDENTICAL across kernel tiers
 //    (scalar / AVX2 / AVX-512) — on every Table-1 generator config,
-//    at serial and contended thread counts, composed with --reorder rcm
-//    and with the frontier phase on and off;
+//    at serial and contended thread counts, on the generator labels and
+//    on a graph relabeled as graph_pack --reorder rcm stores it, with the
+//    frontier phase on and off;
 //  * the single-vector SpMV consumers (WalkOperator, WeightedWalkOperator,
 //    DistributionEvolver) are bitwise tier-invariant too;
 //  * --precision mixed stays within the documented accuracy budget of the
@@ -85,13 +86,26 @@ std::vector<graph::NodeId> spread_sources(const graph::Graph& g,
   return sources;
 }
 
+/// `g` relabeled under the pack-time ordering `mode`, with `sources` mapped
+/// into the new labels.
+struct Relabeled {
+  graph::Graph graph;
+  std::vector<graph::NodeId> sources;
+};
+
+Relabeled relabel(const graph::Graph& g, std::span<const graph::NodeId> sources,
+                  graph::ReorderMode mode) {
+  const std::vector<graph::NodeId> perm = graph::reorder_permutation(g, mode);
+  Relabeled out{graph::apply_permutation(g, perm), {}};
+  for (const graph::NodeId s : sources) out.sources.push_back(perm[s]);
+  return out;
+}
+
 markov::SampledMixing run(const graph::Graph& g, std::span<const graph::NodeId> sources,
                           graph::FrontierPolicy frontier,
-                          graph::ReorderMode reorder = graph::ReorderMode::kNone,
                           simd::Precision precision = simd::Precision::kFloat64) {
   markov::SampledMixingOptions options;
   options.max_steps = kSteps;
-  options.reorder = reorder;
   options.frontier = frontier;
   options.precision = precision;
   return measure_sampled_mixing(g, sources, options);
@@ -115,16 +129,19 @@ TEST(SimdTierParity, SampledMixingBitIdenticalAcrossTiersOnEveryTable1Config) {
   const graph::FrontierPolicy off = *graph::parse_frontier_policy("off");
   const graph::FrontierPolicy autof = *graph::parse_frontier_policy("auto");
   for (const gen::DatasetSpec& spec : gen::table1_datasets()) {
-    const graph::Graph g = gen::build_dataset(spec, kNodes, 11);
-    const auto sources = spread_sources(g);
+    const graph::Graph original = gen::build_dataset(spec, kNodes, 11);
+    const auto original_sources = spread_sources(original);
     for (const graph::ReorderMode reorder :
          {graph::ReorderMode::kNone, graph::ReorderMode::kRcm}) {
+      const Relabeled relabeled = relabel(original, original_sources, reorder);
+      const graph::Graph& g = relabeled.graph;
+      const std::vector<graph::NodeId>& sources = relabeled.sources;
       for (const graph::FrontierPolicy frontier : {autof, off}) {
         // Reference: forced scalar tier, serial. Every other
         // (tier, threads) combination must reproduce it bit for bit.
         const markov::SampledMixing reference = [&] {
           const TierGuard guard{simd::Tier::kScalar};
-          return run(g, sources, frontier, reorder);
+          return run(g, sources, frontier);
         }();
         for (const simd::Tier tier : tiers) {
           for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
@@ -132,7 +149,7 @@ TEST(SimdTierParity, SampledMixingBitIdenticalAcrossTiersOnEveryTable1Config) {
             const TierGuard guard{tier};
             ASSERT_TRUE(guard.ok());
             util::set_thread_count(threads);
-            const markov::SampledMixing got = run(g, sources, frontier, reorder);
+            const markov::SampledMixing got = run(g, sources, frontier);
             util::set_thread_count(0);
             expect_bitwise_equal(
                 reference, got,
@@ -256,7 +273,7 @@ TEST(MixedPrecision, TvdWithinBudgetAndSameVerdictOnEveryTable1Config) {
     const auto sources = spread_sources(g);
     const markov::SampledMixing exact = run(g, sources, autof);
     const markov::SampledMixing mixed =
-        run(g, sources, autof, graph::ReorderMode::kNone, simd::Precision::kMixed);
+        run(g, sources, autof, simd::Precision::kMixed);
     ASSERT_EQ(exact.num_sources(), mixed.num_sources());
     for (std::size_t s = 0; s < exact.num_sources(); ++s) {
       for (std::size_t t = 1; t <= exact.max_steps(); ++t) {
@@ -277,18 +294,21 @@ TEST(MixedPrecision, TvdWithinBudgetAndSameVerdictOnEveryTable1Config) {
 TEST(MixedPrecision, BitIdenticalAcrossTiersAndThreads) {
   const graph::FrontierPolicy autof = *graph::parse_frontier_policy("auto");
   const auto spec = gen::find_dataset("Enron");
-  const graph::Graph g = gen::build_dataset(*spec, kNodes, 11);
-  const auto sources = spread_sources(g);
+  const graph::Graph original = gen::build_dataset(*spec, kNodes, 11);
+  const Relabeled relabeled =
+      relabel(original, spread_sources(original), graph::ReorderMode::kRcm);
+  const graph::Graph& g = relabeled.graph;
+  const std::vector<graph::NodeId>& sources = relabeled.sources;
   const markov::SampledMixing reference = [&] {
     const TierGuard guard{simd::Tier::kScalar};
-    return run(g, sources, autof, graph::ReorderMode::kRcm, simd::Precision::kMixed);
+    return run(g, sources, autof, simd::Precision::kMixed);
   }();
   for (const simd::Tier tier : available_tiers()) {
     for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
       const TierGuard guard{tier};
       util::set_thread_count(threads);
       const markov::SampledMixing got =
-          run(g, sources, autof, graph::ReorderMode::kRcm, simd::Precision::kMixed);
+          run(g, sources, autof, simd::Precision::kMixed);
       util::set_thread_count(0);
       expect_bitwise_equal(reference, got,
                            std::string{"mixed tier="} + simd::tier_name(tier) +
@@ -347,9 +367,8 @@ TEST_F(PrecisionResumeTest, ForeignPrecisionSnapshotClassifiesStale) {
   const auto spec = gen::find_dataset("Physics 1");
   const graph::Graph g = gen::build_dataset(*spec, kNodes, 13);
   const auto sources = spread_sources(g, 3 * markov::BatchedEvolver::kDefaultBlock);
-  const markov::SampledMixing baseline = run(
-      g, sources, *graph::parse_frontier_policy("auto"), graph::ReorderMode::kNone,
-      simd::Precision::kMixed);
+  const markov::SampledMixing baseline =
+      run(g, sources, *graph::parse_frontier_policy("auto"), simd::Precision::kMixed);
 
   // Leave a partial snapshot written under the default f64 precision...
   resilience::arm_fault("block.complete:2:error");
@@ -381,9 +400,8 @@ TEST_F(PrecisionResumeTest, KilledMixedRunResumesBitIdentical) {
   const auto spec = gen::find_dataset("Physics 1");
   const graph::Graph g = gen::build_dataset(*spec, kNodes, 13);
   const auto sources = spread_sources(g, 3 * markov::BatchedEvolver::kDefaultBlock);
-  const markov::SampledMixing baseline = run(
-      g, sources, *graph::parse_frontier_policy("auto"), graph::ReorderMode::kNone,
-      simd::Precision::kMixed);
+  const markov::SampledMixing baseline =
+      run(g, sources, *graph::parse_frontier_policy("auto"), simd::Precision::kMixed);
 
   resilience::arm_fault("block.complete:2:error");
   EXPECT_THROW(measure_sampled_mixing(g, sources, options(simd::Precision::kMixed)),

@@ -2,7 +2,8 @@
 // with the sparse sweeps are BIT-IDENTICAL to the dense path —
 //
 //  * on every Table-1 generator config, at serial and contended thread
-//    counts, composed with the locality reordering (--reorder rcm);
+//    counts, composed with a pack-time locality ordering (a graph
+//    relabeled as graph_pack --reorder rcm stores it);
 //  * through the scalar DistributionEvolver path (tvd_trajectory);
 //  * across the sparse->dense switch, including a fault-injected kill and
 //    checkpoint resume that straddles it;
@@ -49,11 +50,9 @@ std::vector<graph::NodeId> spread_sources(const graph::Graph& g,
 }
 
 SampledMixing run(const graph::Graph& g, std::span<const graph::NodeId> sources,
-                  graph::FrontierPolicy frontier,
-                  graph::ReorderMode reorder = graph::ReorderMode::kNone) {
+                  graph::FrontierPolicy frontier) {
   SampledMixingOptions options;
   options.max_steps = kSteps;
-  options.reorder = reorder;
   options.frontier = frontier;
   return measure_sampled_mixing(g, sources, options);
 }
@@ -71,16 +70,20 @@ void expect_bitwise_equal(const SampledMixing& a, const SampledMixing& b,
 TEST(FrontierParity, BitIdenticalToDenseOnEveryTable1Config) {
   const graph::FrontierPolicy off = *graph::parse_frontier_policy("off");
   for (const gen::DatasetSpec& spec : gen::table1_datasets()) {
-    const graph::Graph g = gen::build_dataset(spec, kNodes, 11);
-    const auto sources = spread_sources(g);
+    const graph::Graph original = gen::build_dataset(spec, kNodes, 11);
+    const auto original_sources = spread_sources(original);
     for (const graph::ReorderMode reorder :
          {graph::ReorderMode::kNone, graph::ReorderMode::kRcm}) {
-      const SampledMixing dense = run(g, sources, off, reorder);
+      const auto perm = graph::reorder_permutation(original, reorder);
+      const graph::Graph g = graph::apply_permutation(original, perm);
+      std::vector<graph::NodeId> sources;
+      for (const graph::NodeId s : original_sources) sources.push_back(perm[s]);
+      const SampledMixing dense = run(g, sources, off);
       for (const char* frontier : {"auto", "0.1"}) {
         for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
           util::set_thread_count(threads);
           const SampledMixing sparse =
-              run(g, sources, *graph::parse_frontier_policy(frontier), reorder);
+              run(g, sources, *graph::parse_frontier_policy(frontier));
           util::set_thread_count(0);
           expect_bitwise_equal(dense, sparse,
                                spec.name + " frontier=" + frontier +

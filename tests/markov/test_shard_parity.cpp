@@ -92,11 +92,11 @@ void expect_bitwise_equal(const SampledMixing& a, const SampledMixing& b,
 }
 
 TEST(ShardParity, ComposesWithFrontierReorderAndMixedPrecision) {
-  // A reordering materializes an in-memory CSR, which is always one shard,
-  // so the composition left to check is frontier x precision on a pack.
+  // Vertex ordering is baked in at pack time, so each ordering is a
+  // relabeled graph (sources mapped through the permutation) packed under
+  // 4- and 16-shard plans; frontier x precision then runs on every pack.
   const auto spec = gen::find_dataset("Physics 1");
-  const graph::Graph g = gen::build_dataset(*spec, kNodes, 5);
-  const auto sources = spread_sources(g);
+  const graph::Graph original = gen::build_dataset(*spec, kNodes, 5);
   struct Combo {
     const char* frontier;
     linalg::simd::Precision precision;
@@ -107,20 +107,28 @@ TEST(ShardParity, ComposesWithFrontierReorderAndMixedPrecision) {
       {"off", linalg::simd::Precision::kMixed, "mixed"},
       {"auto", linalg::simd::Precision::kMixed, "frontier+mixed"},
   };
-  const graph::sharded::MappedGraph packs[] = {pack(g, 4, "compose_4"),
-                                               pack(g, 16, "compose_16")};
-  for (const Combo& combo : combos) {
-    SampledMixingOptions dense_options = base_options();
-    dense_options.frontier = *graph::parse_frontier_policy(combo.frontier);
-    dense_options.precision = combo.precision;
-    const SampledMixing dense = run(g, sources, dense_options);
-    for (const graph::sharded::MappedGraph& mapped : packs) {
-      SampledMixingOptions options = dense_options;
-      options.mapped = &mapped;
-      const SampledMixing sharded = run(mapped.view(), sources, options);
-      expect_bitwise_equal(dense, sharded,
-                           std::string{combo.label} + " shards=" +
-                               std::to_string(mapped.pack_plan().num_shards()));
+  for (const graph::ReorderMode reorder :
+       {graph::ReorderMode::kNone, graph::ReorderMode::kRcm}) {
+    const auto perm = graph::reorder_permutation(original, reorder);
+    const graph::Graph g = graph::apply_permutation(original, perm);
+    std::vector<graph::NodeId> sources;
+    for (const graph::NodeId s : spread_sources(original)) sources.push_back(perm[s]);
+    const std::string order{graph::reorder_mode_name(reorder)};
+    const graph::sharded::MappedGraph packs[] = {pack(g, 4, "compose_4_" + order),
+                                                 pack(g, 16, "compose_16_" + order)};
+    for (const Combo& combo : combos) {
+      SampledMixingOptions dense_options = base_options();
+      dense_options.frontier = *graph::parse_frontier_policy(combo.frontier);
+      dense_options.precision = combo.precision;
+      const SampledMixing dense = run(g, sources, dense_options);
+      for (const graph::sharded::MappedGraph& mapped : packs) {
+        SampledMixingOptions options = dense_options;
+        options.mapped = &mapped;
+        const SampledMixing sharded = run(mapped.view(), sources, options);
+        expect_bitwise_equal(dense, sharded,
+                             std::string{combo.label} + " order=" + order + " shards=" +
+                                 std::to_string(mapped.pack_plan().num_shards()));
+      }
     }
   }
 }
@@ -275,9 +283,9 @@ TEST(ShardParity, OnlyOutOfCoreSweepsPayForShardAccounting) {
 #endif
 
 TEST(ShardParity, CompressedRejectsFrontierlessPreconditions) {
-  // The compressed gating: reordering and an explicitly enabled frontier
-  // closure need in-memory adjacency; a headless graph without its mapped
-  // container is unusable.
+  // The compressed gating: an explicitly enabled frontier closure needs
+  // in-memory adjacency; a headless graph without its mapped container is
+  // unusable.
   const auto spec = gen::find_dataset("Physics 1");
   const graph::Graph g = gen::build_dataset(*spec, kNodes, 5);
   const fs::path path = fs::path{testing::TempDir()} / "pipe_gate.smxg";
@@ -287,12 +295,6 @@ TEST(ShardParity, CompressedRejectsFrontierlessPreconditions) {
                                   graph::ShardPlan::balanced(g.offsets(), 4), compress);
   const graph::sharded::MappedGraph mapped{path.string()};
   const auto sources = spread_sources(mapped.view());
-
-  SampledMixingOptions options = base_options();
-  options.mapped = &mapped;
-  options.reorder = graph::ReorderMode::kRcm;
-  EXPECT_THROW(measure_sampled_mixing(mapped.view(), sources, options),
-               std::invalid_argument);
 
   const SampledMixingOptions no_mapped = base_options();
   EXPECT_THROW(measure_sampled_mixing(mapped.view(), sources, no_mapped),

@@ -13,7 +13,7 @@
 
 #include "graph/edge_list.hpp"
 #include "graph/graph.hpp"
-#include "graph/reorder.hpp"
+#include "linalg/simd/kernels.hpp"
 #include "markov/mixing_time.hpp"
 #include "obs/obs.hpp"
 #include "resilience/fault.hpp"
@@ -112,16 +112,16 @@ TEST_F(CheckpointResumeTest, UnitRejectsForeignFingerprintAndShape) {
 }
 
 TEST_F(CheckpointResumeTest, UnitRejectsForeignContextAsStale) {
-  // The context word records the execution environment (the vertex
-  // reordering mode, for the sampled sweep); a frame written under a
-  // different context is internally valid but not replayable — it must be
+  // The context word records the execution environment (the kernel
+  // precision, for the sampled sweep); a frame written under a different
+  // context is internally valid but not replayable — it must be
   // classified stale and recomputed, never silently replayed.
   CheckpointOptions opts{dir_.string(), "unit", 1};
-  const auto context = [](graph::ReorderMode mode) {
-    return static_cast<std::uint64_t>(mode);
+  const auto context = [](linalg::simd::Precision precision) {
+    return linalg::simd::precision_context_word(precision);
   };
   {
-    BlockCheckpoint ckpt{opts, 99, 4, context(graph::ReorderMode::kNone)};
+    BlockCheckpoint ckpt{opts, 99, 4, context(linalg::simd::Precision::kFloat64)};
     ckpt.record(0, {1.0});
     ckpt.finalize();
   }
@@ -134,16 +134,17 @@ TEST_F(CheckpointResumeTest, UnitRejectsForeignContextAsStale) {
   };
   const std::uint64_t stale_before = stale_count();
 #endif
-  BlockCheckpoint other_ordering{opts, 99, 4, context(graph::ReorderMode::kRcm)};
-  EXPECT_EQ(other_ordering.restore(), 0u);
-  EXPECT_EQ(other_ordering.context(), context(graph::ReorderMode::kRcm));
+  BlockCheckpoint other_precision{opts, 99, 4, context(linalg::simd::Precision::kMixed)};
+  EXPECT_EQ(other_precision.restore(), 0u);
+  EXPECT_EQ(other_precision.context(), context(linalg::simd::Precision::kMixed));
 #if SOCMIX_OBS_ENABLED
   EXPECT_EQ(stale_count(), stale_before + 1);
 #endif
   // The matching context still round-trips.
-  BlockCheckpoint same_ordering{opts, 99, 4, context(graph::ReorderMode::kNone)};
-  EXPECT_EQ(same_ordering.restore(), 1u);
-  EXPECT_EQ(same_ordering.restored_payload(0), (std::vector<double>{1.0}));
+  BlockCheckpoint same_precision{opts, 99, 4,
+                                 context(linalg::simd::Precision::kFloat64)};
+  EXPECT_EQ(same_precision.restore(), 1u);
+  EXPECT_EQ(same_precision.restored_payload(0), (std::vector<double>{1.0}));
 }
 
 TEST_F(CheckpointResumeTest, InterruptedMeasurementResumesBitIdentical) {

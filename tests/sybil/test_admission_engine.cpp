@@ -254,9 +254,7 @@ TEST(AdmissionEngine, PreEngineContextSnapshotClassifiesStale) {
     options.dir = dir.string();
     options.name = "sybil-admission";
     options.interval = 1;
-    const std::uint64_t old_context =
-        util::hash_combine(static_cast<std::uint64_t>(config.reorder),
-                           graph::frontier_context_word(config.frontier));
+    const std::uint64_t old_context = graph::frontier_context_word(config.frontier);
     resilience::BlockCheckpoint stale{options, admission_sweep_fingerprint(g, config),
                                       config.route_lengths.size(), old_context};
     for (std::size_t i = 0; i < config.route_lengths.size(); ++i) {

@@ -73,6 +73,28 @@ TEST(Cli, FlagFollowedByOptionStaysBare) {
   EXPECT_EQ(cli.get_i64("b", 0), 3);
 }
 
+TEST(Cli, RejectsOptionsNoGetterAskedFor) {
+  const Cli cli = make({"--seed", "7", "--reorder", "bfs", "--sharded=4", "--quiet"});
+  EXPECT_EQ(cli.get_i64("seed", 0), 7);
+  EXPECT_FALSE(cli.has("threads"));  // asked for but absent: not an error
+  try {
+    cli.reject_unknown();
+    FAIL() << "unread options were accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find("--reorder"), std::string::npos) << message;
+    EXPECT_NE(message.find("--sharded"), std::string::npos) << message;
+    EXPECT_NE(message.find("--quiet"), std::string::npos) << message;
+    EXPECT_EQ(message.find("--seed"), std::string::npos) << message;
+  }
+  // Once every given option has been read, nothing is left to reject.
+  (void)cli.get("reorder", "");
+  (void)cli.get_i64("sharded", 0);
+  EXPECT_FALSE(cli.get_flag("absent"));
+  (void)cli.get_flag("quiet");
+  EXPECT_NO_THROW(cli.reject_unknown());
+}
+
 TEST(Cli, RecordsProgramName) {
   const Cli cli = make({});
   EXPECT_EQ(cli.program(), "prog");

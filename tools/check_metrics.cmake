@@ -75,8 +75,8 @@ file(READ "${trace_file}" trace)
 if(NOT trace MATCHES "^\\{\"displayTimeUnit\":\"ms\",\"traceEvents\":\\[")
   message(FATAL_ERROR "trace JSON has unexpected shape")
 endif()
-foreach(span "measure_mixing" "phase.spectral" "lanczos.reorth" "lanczos.restart"
-    "phase.sampled" "evolve_block")
+foreach(span "socmix.load" "socmix.lcc" "measure_mixing" "phase.spectral"
+    "lanczos.reorth" "lanczos.restart" "phase.sampled" "evolve_block")
   if(NOT trace MATCHES "\"name\":\"${span}\"")
     message(FATAL_ERROR "trace JSON is missing span '${span}'")
   endif()

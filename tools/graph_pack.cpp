@@ -1,17 +1,20 @@
 // graph_pack — converts an edge list (or a generated Table-1 stand-in)
 // into the `.smxg` memory-mappable sharded CSR container.
 //
-//   graph_pack --edges g.txt --out g.smxg [--sharded auto|off|N] [--compress]
+//   graph_pack --edges g.txt --out g.smxg [--sharded auto|off|N]
+//              [--reorder none|rcm|bfs] [--compress]
 //   graph_pack --dataset "Synthetic 1M" --nodes 1000000 --out g.smxg
 //   graph_pack --verify g.smxg
 //
 // Mirrors the preprocessing of `socmix measure`: load/build, extract the
 // largest connected component, optionally relabel (--reorder), then write
 // the CSR with a shard plan resolved by --sharded against the CSR byte
-// size. This is the one place shard geometry is chosen: `socmix measure
-// --pack g.smxg` maps the result with zero parse cost and the walk
-// engines stream it window-at-a-time under the stored plan, with no
-// option to re-plan. `auto` budgets three resident copies of a shard
+// size. This is the one place vertex ordering and shard geometry are
+// chosen: `socmix measure --pack g.smxg` maps the result with zero parse
+// cost, runs on the stored labels, and the walk engines stream it
+// window-at-a-time under the stored plan, with no option to relabel or
+// re-plan. An ordering pays on crawl-ordered input (arbitrary labels),
+// where rcm or bfs groups each vertex's neighbors into nearby rows. `auto` budgets three resident copies of a shard
 // window for a compressed pack (two decoded scratch slots plus the mapped
 // ADJC bytes) and two for a raw one (current + next). --compress
 // emits the adjacency as the delta + stream-vbyte ADJC section (format
@@ -34,6 +37,7 @@
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/experiment.hpp"
@@ -57,7 +61,7 @@ int usage() {
       "usage: graph_pack --edges FILE | --dataset NAME [--nodes N] [--seed N]\n"
       "                  --out FILE.smxg\n"
       "                  [--sharded auto|off|N]   pack-time shard plan (default auto)\n"
-      "                  [--reorder none|degree|rcm|bfs]\n"
+      "                  [--reorder none|rcm|bfs] vertex ordering (default none)\n"
       "                  [--compress]             delta+vbyte ADJC adjacency (v2)\n"
       "       graph_pack --verify FILE.smxg      validate + report an existing pack\n",
       stderr);
@@ -184,40 +188,47 @@ graph::Graph load_edges_streaming(const std::string& path) {
 }
 
 int run(const util::Cli& cli) {
-  if (cli.has("verify")) return cmd_verify(cli.get("verify", ""));
-
-  const std::string out = cli.get("out", "");
-  if (out.empty()) return usage();
-
-  graph::Graph raw;
-  std::string name;
-  if (cli.has("edges")) {
-    name = cli.get("edges", "");
-    raw = load_edges_streaming(name);
-  } else if (cli.has("dataset")) {
-    name = cli.get("dataset", "");
-    const auto spec = gen::find_dataset(name);
-    if (!spec) throw std::runtime_error{"unknown dataset '" + name + "'"};
-    const auto nodes = static_cast<graph::NodeId>(cli.get_i64("nodes", 0));
-    raw = gen::build_dataset(*spec, nodes,
-                             static_cast<std::uint64_t>(cli.get_i64("seed", 42)));
-  } else {
-    return usage();
+  if (cli.has("verify")) {
+    const std::string path = cli.get("verify", "");
+    cli.reject_unknown();
+    return cmd_verify(path);
   }
 
-  // Same preprocessing as the measurement: LCC first (the container
-  // always holds a connected graph), then the optional kernel ordering —
-  // baked in at pack time so the mapped CSR is already gather-friendly
-  // and measure runs it with --reorder none.
-  graph::Graph lcc = graph::largest_component(raw).graph;
-  raw = graph::Graph{};  // drop the raw CSR before the reorder copy
-  const graph::ReorderMode reorder = core::reorder_from_cli(cli);
-  const graph::ReorderedGraph reordered = graph::reorder_graph(lcc, reorder);
-  const graph::Graph& packed = reordered.active(lcc);
-
+  const std::string out = cli.get("out", "");
+  const std::string edges = cli.get("edges", "");
+  const std::string dataset = cli.get("dataset", "");
+  const auto nodes = static_cast<graph::NodeId>(cli.get_i64("nodes", 0));
+  const auto seed = static_cast<std::uint64_t>(cli.get_i64("seed", 42));
+  const std::string order = cli.get("reorder", "none");
+  const auto reorder = graph::parse_reorder_mode(order);
+  if (!reorder) {
+    throw std::invalid_argument{"--reorder=" + order + ": expected none, rcm or bfs"};
+  }
   const graph::ShardPolicy policy = core::sharded_from_cli(cli);
   graph::sharded::WriteOptions write_options;
   write_options.compress = cli.get_flag("compress");
+  cli.reject_unknown();
+  if (out.empty() || (edges.empty() && dataset.empty())) return usage();
+
+  graph::Graph raw;
+  std::string name;
+  if (!edges.empty()) {
+    name = edges;
+    raw = load_edges_streaming(name);
+  } else {
+    name = dataset;
+    const auto spec = gen::find_dataset(name);
+    if (!spec) throw std::runtime_error{"unknown dataset '" + name + "'"};
+    raw = gen::build_dataset(*spec, nodes, seed);
+  }
+
+  // Same preprocessing as the measurement: LCC first (the container
+  // always holds a connected graph), then the optional kernel ordering,
+  // baked in here because the measurement never relabels.
+  graph::Graph lcc = graph::largest_component(raw).graph;
+  raw = graph::Graph{};  // drop the raw CSR before the reorder copy
+  const graph::Graph packed = graph::reorder_graph(std::move(lcc), *reorder);
+
   const std::uint32_t shards = graph::resolve_shard_count(
       policy, packed.memory_bytes(), packed.num_nodes(),
       write_options.compress ? 3u : 2u);

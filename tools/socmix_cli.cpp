@@ -10,7 +10,10 @@
 //
 // Every subcommand also accepts --dataset NAME (+ --nodes) in place of
 // --edges to run on a synthetic Table-1 stand-in, and --seed for
-// reproducibility.
+// reproducibility. Each subcommand reads all of its options before it
+// loads anything and fails on any option it does not know. Graphs are
+// measured under the labels they carry: to run under a locality ordering,
+// pack the graph with tools/graph_pack --reorder rcm|bfs and pass --pack.
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -30,6 +33,7 @@
 #include "graph/trim.hpp"
 #include "markov/conductance.hpp"
 #include "markov/mixing_time.hpp"
+#include "obs/obs.hpp"
 #include "resilience/checkpoint.hpp"
 #include "sybil/admission_engine.hpp"
 #include "sybil/sybil_limit.hpp"
@@ -47,16 +51,16 @@ int usage() {
       "usage: socmix <info|measure|sample|trim|convert|sybil|generate> [options]\n"
       "  input:  --edges FILE | --dataset NAME [--nodes N]   (--seed N)\n"
       "          --pack FILE.smxg   mmap a packed container (measure/sybil;\n"
-      "                             see tools/graph_pack; stores the LCC and\n"
-      "                             the shard plan every sweep follows;\n"
-      "                             compressed containers are measure-only)\n"
+      "                             see tools/graph_pack; stores the LCC, its\n"
+      "                             vertex ordering and the shard plan every\n"
+      "                             sweep follows; compressed containers are\n"
+      "                             measure-only)\n"
       "  obs:    --metrics-out FILE (.json/.csv)  --trace-out FILE  --progress\n"
       "          --sample-out FILE.jsonl [--sample-interval-ms N]   in-run time-series\n"
       "          --bench-out FILE        BENCH json of phase timings (schema\n"
       "                                  socmix-bench/1; see tools/bench_compare)\n"
       "  resil:  --checkpoint-dir DIR [--checkpoint-interval N]  --fault-inject SPEC\n"
       "  perf:   --threads N                     kernel worker threads (0 = auto)\n"
-      "          --reorder none|degree|rcm|bfs   vertex ordering for the kernels\n"
       "          --frontier auto|off|FRAC        adaptive frontier-sparse sweeps\n"
       "          --precision f64|mixed           sampled-walk kernel precision\n"
       "          (SOCMIX_SIMD=avx512|avx2|scalar forces the simd kernel tier)\n"
@@ -73,26 +77,43 @@ int usage() {
   return 2;
 }
 
-/// Loads --edges FILE or builds --dataset NAME; exits with a message on error.
-graph::Graph load_input(const util::Cli& cli, std::string& name) {
-  const auto seed = static_cast<std::uint64_t>(cli.get_i64("seed", 42));
-  if (cli.has("edges")) {
-    name = cli.get("edges", "");
+/// Where a subcommand's graph comes from, read off the command line before
+/// any work starts.
+struct InputSpec {
+  std::string edges;
+  std::string dataset;
+  std::string pack;  ///< --pack, read by measure and sybil only
+  graph::NodeId nodes = 0;
+  std::uint64_t seed = 42;
+};
+
+InputSpec read_input(const util::Cli& cli) {
+  InputSpec spec;
+  spec.edges = cli.get("edges", "");
+  spec.dataset = cli.get("dataset", "");
+  spec.nodes = static_cast<graph::NodeId>(cli.get_i64("nodes", 0));
+  spec.seed = static_cast<std::uint64_t>(cli.get_i64("seed", 42));
+  return spec;
+}
+
+/// Loads --edges FILE or builds --dataset NAME; throws with a message on error.
+graph::Graph load_input(const InputSpec& spec, std::string& name) {
+  SOCMIX_TRACE_SPAN("socmix.load");
+  if (!spec.edges.empty()) {
+    name = spec.edges;
     const auto loaded = graph::load_edge_list_file(name);
     std::fprintf(stderr, "loaded %s: %u nodes, %llu edges\n", name.c_str(),
                  loaded.graph.num_nodes(),
                  static_cast<unsigned long long>(loaded.graph.num_edges()));
     return loaded.graph;
   }
-  const std::string dataset = cli.get("dataset", "");
-  if (dataset.empty()) {
+  if (spec.dataset.empty()) {
     throw std::runtime_error{"need --edges FILE or --dataset NAME"};
   }
-  const auto spec = gen::find_dataset(dataset);
-  if (!spec) throw std::runtime_error{"unknown dataset '" + dataset + "'"};
-  name = spec->name + " stand-in";
-  const auto nodes = static_cast<graph::NodeId>(cli.get_i64("nodes", 0));
-  return gen::build_dataset(*spec, nodes, seed);
+  const auto found = gen::find_dataset(spec.dataset);
+  if (!found) throw std::runtime_error{"unknown dataset '" + spec.dataset + "'"};
+  name = found->name + " stand-in";
+  return gen::build_dataset(*found, spec.nodes, spec.seed);
 }
 
 /// The measured graph for measure/sybil: either the largest component of
@@ -114,10 +135,11 @@ struct ComponentInput {
   }
 };
 
-ComponentInput load_component_input(const util::Cli& cli) {
+ComponentInput load_component_input(const InputSpec& spec) {
   ComponentInput in;
-  if (cli.has("pack")) {
-    in.name = cli.get("pack", "");
+  if (!spec.pack.empty()) {
+    SOCMIX_TRACE_SPAN("socmix.load");
+    in.name = spec.pack;
     in.mapped = graph::sharded::MappedGraph{in.name};
     in.packed = true;
     std::fprintf(stderr, "mapped %s: %u nodes, %llu edges, %u pack shards%s%s\n",
@@ -126,9 +148,11 @@ ComponentInput load_component_input(const util::Cli& cli) {
                  in.mapped.pack_plan().num_shards(),
                  in.mapped.compressed() ? ", compressed" : "",
                  in.mapped.is_mapped() ? "" : " (heap fallback)");
-  } else {
-    in.owned = graph::largest_component(load_input(cli, in.name)).graph;
+    return in;
   }
+  const graph::Graph raw = load_input(spec, in.name);
+  SOCMIX_TRACE_SPAN("socmix.lcc");
+  in.owned = graph::largest_component(raw).graph;
   return in;
 }
 
@@ -141,11 +165,12 @@ void save_output(const graph::Graph& g, const std::string& path) {
 }
 
 int cmd_info(const util::Cli& cli) {
+  const InputSpec spec = read_input(cli);
+  cli.reject_unknown();
   std::string name;
-  const auto raw = load_input(cli, name);
+  const auto raw = load_input(spec, name);
   const auto lcc = graph::largest_component(raw).graph;
-  const auto seed = static_cast<std::uint64_t>(cli.get_i64("seed", 42));
-  util::Rng rng{seed};
+  util::Rng rng{spec.seed};
 
   const auto deg = graph::degree_stats(lcc);
   std::printf("%s\n", name.c_str());
@@ -187,17 +212,15 @@ void write_tvd(const markov::SampledMixing& sampled, const std::string& path) {
 }
 
 int cmd_measure(const util::Cli& cli, const resilience::CheckpointOptions& checkpoint) {
-  const ComponentInput input = load_component_input(cli);
-
+  InputSpec spec = read_input(cli);
+  spec.pack = cli.get("pack", "");
   core::MeasurementOptions options;
   options.sources = static_cast<std::size_t>(cli.get_i64("sources", 200));
   options.max_steps = static_cast<std::size_t>(cli.get_i64("steps", 400));
-  options.seed = static_cast<std::uint64_t>(cli.get_i64("seed", 42));
+  options.seed = spec.seed;
   options.checkpoint = checkpoint;
-  options.reorder = core::reorder_from_cli(cli);
   options.frontier = core::frontier_from_cli(cli);
   options.precision = core::precision_from_cli(cli);
-  options.mapped = input.mapped_ptr();
   const std::string spectral = cli.get("spectral", "on");
   if (spectral == "on" || spectral == "off") {
     options.spectral = spectral == "on";
@@ -205,9 +228,13 @@ int cmd_measure(const util::Cli& cli, const resilience::CheckpointOptions& check
     throw std::invalid_argument{"--spectral=" + spectral + ": expected on or off"};
   }
   const double eps = cli.get_f64("eps", markov::kHeadlineEpsilon);
+  const std::string tvd_out = cli.get("tvd-out", "");
+  cli.reject_unknown();
 
+  const ComponentInput input = load_component_input(spec);
+  options.mapped = input.mapped_ptr();
   const auto report = core::measure_mixing(input.graph(), input.name, options);
-  if (cli.has("tvd-out")) write_tvd(*report.sampled, cli.get("tvd-out", ""));
+  if (!tvd_out.empty()) write_tvd(*report.sampled, tvd_out);
   std::printf("%s\n", core::summarize(report).c_str());
   if (report.spectral_ran) {
     std::printf("T(%.3g) bounds: %.1f .. %.1f steps\n", eps, report.lower_bound(eps),
@@ -228,11 +255,14 @@ int cmd_measure(const util::Cli& cli, const resilience::CheckpointOptions& check
 }
 
 int cmd_sample(const util::Cli& cli) {
-  std::string name;
-  const auto g = load_input(cli, name);
+  const InputSpec spec = read_input(cli);
   const auto size = static_cast<graph::NodeId>(cli.get_i64("size", 10000));
   const std::string method = cli.get("method", "bfs");
-  util::Rng rng{static_cast<std::uint64_t>(cli.get_i64("seed", 42))};
+  const std::string out = cli.get("out", "sample.txt");
+  cli.reject_unknown();
+  std::string name;
+  const auto g = load_input(spec, name);
+  util::Rng rng{spec.seed};
 
   graph::ExtractedSubgraph sample;
   if (method == "bfs") sample = graph::bfs_sample(g, size, rng);
@@ -240,23 +270,28 @@ int cmd_sample(const util::Cli& cli) {
   else if (method == "walk") sample = graph::random_walk_sample(g, size, rng);
   else throw std::runtime_error{"unknown --method '" + method + "'"};
 
-  save_output(sample.graph, cli.get("out", "sample.txt"));
+  save_output(sample.graph, out);
   return 0;
 }
 
 int cmd_trim(const util::Cli& cli) {
-  std::string name;
-  const auto g = load_input(cli, name);
+  const InputSpec spec = read_input(cli);
   const auto k = static_cast<graph::NodeId>(cli.get_i64("min-degree", 2));
+  const std::string out = cli.get("out", "trimmed.txt");
+  cli.reject_unknown();
+  std::string name;
+  const auto g = load_input(spec, name);
   const auto trimmed = graph::trim_min_degree(g, k);
   std::fprintf(stderr, "trim to min degree %u: kept %u of %u nodes\n", k,
                trimmed.graph.num_nodes(), g.num_nodes());
-  save_output(trimmed.graph, cli.get("out", "trimmed.txt"));
+  save_output(trimmed.graph, out);
   return 0;
 }
 
 int cmd_convert(const util::Cli& cli) {
   const std::string path = cli.get("arcs", "");
+  const std::string out = cli.get("out", "undirected.txt");
+  cli.reject_unknown();
   if (path.empty()) throw std::runtime_error{"convert needs --arcs FILE"};
   const auto loaded = digraph::load_directed_edge_list_file(path);
   const auto scc = digraph::largest_scc(loaded.graph);
@@ -265,23 +300,15 @@ int cmd_convert(const util::Cli& cli) {
                "%s: %llu arcs, reciprocity %.3f, largest SCC %u of %u nodes\n",
                path.c_str(), static_cast<unsigned long long>(loaded.graph.num_arcs()),
                sym.reciprocity, scc.graph.num_nodes(), loaded.graph.num_nodes());
-  save_output(sym.graph, cli.get("out", "undirected.txt"));
+  save_output(sym.graph, out);
   return 0;
 }
 
 int cmd_sybil(const util::Cli& cli, const resilience::CheckpointOptions& checkpoint) {
-  const ComponentInput input = load_component_input(cli);
-  if (input.graph().headless()) {
-    // SybilLimit's random routes walk individual adjacency lists, which a
-    // compressed container only materializes shard-wise inside the
-    // pipeline — repack without --compress to run the sweep.
-    throw std::runtime_error{
-        "sybil needs in-memory adjacency; repack without --compress"};
-  }
-
+  InputSpec spec = read_input(cli);
+  spec.pack = cli.get("pack", "");
   sybil::AdmissionSweepConfig config;
   config.checkpoint = checkpoint;
-  config.mapped = input.mapped_ptr();
   // split() returns views into its argument, so the string must outlive the loop.
   const std::string widths = cli.get("w", "2,4,8,16,24,32");
   for (const auto token : util::split(widths, ',')) {
@@ -291,9 +318,19 @@ int cmd_sybil(const util::Cli& cli, const resilience::CheckpointOptions& checkpo
   }
   config.suspect_sample = static_cast<std::size_t>(cli.get_i64("suspects", 200));
   config.verifier_sample = static_cast<std::size_t>(cli.get_i64("verifiers", 3));
-  config.seed = static_cast<std::uint64_t>(cli.get_i64("seed", 42));
-  config.reorder = core::reorder_from_cli(cli);
+  config.seed = spec.seed;
   config.frontier = core::frontier_from_cli(cli);
+  cli.reject_unknown();
+
+  const ComponentInput input = load_component_input(spec);
+  if (input.graph().headless()) {
+    // SybilLimit's random routes walk individual adjacency lists, which a
+    // compressed container only materializes shard-wise inside the
+    // pipeline — repack without --compress to run the sweep.
+    throw std::runtime_error{
+        "sybil needs in-memory adjacency; repack without --compress"};
+  }
+  config.mapped = input.mapped_ptr();
   sybil::AdmissionEngineStats engine_stats;
   config.engine_stats = &engine_stats;
 
@@ -315,9 +352,12 @@ int cmd_sybil(const util::Cli& cli, const resilience::CheckpointOptions& checkpo
 }
 
 int cmd_generate(const util::Cli& cli) {
+  const InputSpec spec = read_input(cli);
+  const std::string out = cli.get("out", "generated.txt");
+  cli.reject_unknown();
   std::string name;
-  const auto g = load_input(cli, name);  // --dataset path of load_input
-  save_output(g, cli.get("out", "generated.txt"));
+  const auto g = load_input(spec, name);  // --dataset path of load_input
+  save_output(g, out);
   return 0;
 }
 
