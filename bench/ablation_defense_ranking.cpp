@@ -35,6 +35,7 @@ int main(int argc, char** argv) {
   core::configure_observability(cli);
   const auto nodes = static_cast<graph::NodeId>(cli.get_i64("nodes", 2000));
   const auto seed = static_cast<std::uint64_t>(cli.get_i64("seed", 42));
+  cli.reject_unknown();
 
   std::cout << "Ablation: SybilLimit vs ranking-based admission (Viswanath)\n\n";
 

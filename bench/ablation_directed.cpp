@@ -38,6 +38,7 @@ int main(int argc, char** argv) {
   const auto max_steps = static_cast<std::size_t>(cli.get_i64("steps", 400));
   const auto num_sources = static_cast<std::size_t>(cli.get_i64("sources", 30));
   const auto seed = static_cast<std::uint64_t>(cli.get_i64("seed", 42));
+  cli.reject_unknown();
 
   const auto undirected_base =
       gen::build_dataset(*gen::find_dataset("Physics 1"), nodes, seed);

@@ -34,6 +34,7 @@ int main(int argc, char** argv) {
   const std::string dataset = cli.get("dataset", "Physics 1");
   const auto nodes = static_cast<graph::NodeId>(cli.get_i64("nodes", 2600));
   const auto seed = static_cast<std::uint64_t>(cli.get_i64("seed", 42));
+  cli.reject_unknown();
 
   const auto spec = gen::find_dataset(dataset);
   if (!spec) {

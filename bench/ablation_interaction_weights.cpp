@@ -36,6 +36,7 @@ int main(int argc, char** argv) {
   core::configure_observability(cli);
   const auto nodes = static_cast<graph::NodeId>(cli.get_i64("nodes", 2600));
   const auto seed = static_cast<std::uint64_t>(cli.get_i64("seed", 42));
+  cli.reject_unknown();
 
   std::cout << "Ablation: friendship vs interaction weighting\n\n";
 

@@ -35,6 +35,7 @@ int main(int argc, char** argv) {
   auto config = core::ExperimentConfig::from_cli(cli);
   if (!cli.has("scale")) config.scale = 0.5;
   const double swap_factor = cli.get_f64("swaps", 10.0);
+  cli.reject_unknown();
 
   std::cout << "Ablation: degree-preserving null model vs community structure\n\n";
 

@@ -28,6 +28,7 @@ int main(int argc, char** argv) {
   // harness; the atexit hook writes BENCH_<bench>.json next to the CSVs.
   bench::Harness::configure_process(cli);
   const auto config = core::ExperimentConfig::from_cli(cli);
+  cli.reject_unknown();
 
   std::cout << "Figure 1: lower bound of the mixing time -- small datasets\n";
   const auto epsilons = core::figure_epsilon_grid();

@@ -29,6 +29,7 @@ int main(int argc, char** argv) {
   bench::Harness::configure_process(cli);
   auto config = core::ExperimentConfig::from_cli(cli);
   if (!cli.has("scale")) config.scale = 0.5;
+  cli.reject_unknown();
 
   std::cout << "Figure 2: lower bound of the mixing time -- large datasets\n";
   const auto epsilons = core::figure_epsilon_grid();

@@ -53,6 +53,7 @@ int main(int argc, char** argv) {
   bench::Harness::configure_process(cli);
   const auto config = core::ExperimentConfig::from_cli(cli);
   const std::size_t sources = cli.has("sources") ? config.sources : 400;
+  cli.reject_unknown();
 
   std::cout << "Figure 3: CDF of mixing (short walks) for the physics datasets\n";
   const auto walk_lengths = core::short_walk_lengths();

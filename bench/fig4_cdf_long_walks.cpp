@@ -30,6 +30,7 @@ int main(int argc, char** argv) {
   bench::Harness::configure_process(cli);
   const auto config = core::ExperimentConfig::from_cli(cli);
   const std::size_t sources = cli.has("sources") ? config.sources : 100;
+  cli.reject_unknown();
 
   std::cout << "Figure 4: CDF of mixing (long walks) for the physics datasets\n";
   const auto walk_lengths = core::long_walk_lengths();

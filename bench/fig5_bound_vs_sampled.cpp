@@ -34,6 +34,7 @@ int main(int argc, char** argv) {
   bench::Harness::configure_process(cli);
   const auto config = core::ExperimentConfig::from_cli(cli);
   const std::size_t sources = cli.has("sources") ? config.sources : 100;
+  cli.reject_unknown();
   const std::size_t max_steps = config.max_steps != 0 ? config.max_steps : 500;
 
   std::cout << "Figure 5: lower bound vs sampled mixing for the physics datasets\n";

@@ -31,6 +31,7 @@ int main(int argc, char** argv) {
   auto config = core::ExperimentConfig::from_cli(cli);
   if (!cli.has("scale")) config.scale = 0.25;
   const std::size_t sources = cli.has("sources") ? config.sources : 60;
+  cli.reject_unknown();
   const std::size_t max_steps = config.max_steps != 0 ? config.max_steps : 800;
 
   std::cout << "Figure 6: lower-bound vs average mixing time under min-degree "

@@ -47,6 +47,7 @@ int main(int argc, char** argv) {
   std::vector<graph::NodeId> sizes;
   // split() returns views into its argument, so the string must outlive the loop.
   const std::string size_list = cli.get("sizes", "4000,12000,36000");
+  cli.reject_unknown();
   for (const auto token : util::split(size_list, ',')) {
     if (const auto v = util::parse_i64(token)) {
       sizes.push_back(static_cast<graph::NodeId>(*v));

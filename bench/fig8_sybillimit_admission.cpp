@@ -37,6 +37,7 @@ int main(int argc, char** argv) {
   if (!cli.has("scale")) config.scale = 0.6;
   const auto suspects = static_cast<std::size_t>(cli.get_i64("suspects", 200));
   const double r0 = cli.get_f64("r0", 4.0);
+  cli.reject_unknown();
 
   const std::vector<std::size_t> lengths{1, 2, 4, 6, 8, 10, 15, 20, 30, 40};
 

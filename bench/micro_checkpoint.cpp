@@ -70,6 +70,7 @@ int main(int argc, char** argv) {
   const auto rounds = static_cast<std::size_t>(cli.get_i64("rounds", 7));
   const std::string out_path =
       cli.get("out", "bench_results/micro_checkpoint_overhead.csv");
+  cli.reject_unknown();
   bench::Harness::process().set_flag("nodes", std::to_string(nodes));
   bench::Harness::process().set_flag("steps", std::to_string(max_steps));
   bench::Harness::process().set_flag("rounds", std::to_string(rounds));

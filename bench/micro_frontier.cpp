@@ -187,6 +187,11 @@ int main(int argc, char** argv) {
   // per entry for the regression gate's median to be robust.
   const auto rounds = static_cast<std::size_t>(
       cli.get_i64("rounds", static_cast<std::int64_t>(bench::Harness::process_repeats(5))));
+  const std::string out =
+      cli.get("out", util::bench_results_dir().value_or(".") + "/micro_frontier.csv");
+  const std::string e2e_out =
+      cli.get("e2e-out", util::bench_results_dir().value_or(".") + "/e2e_frontier.csv");
+  cli.reject_unknown();
   bench::Harness::process().set_flag("quick", quick ? "true" : "false");
   bench::Harness::process().set_flag("rounds", std::to_string(rounds));
   const std::vector<std::size_t> step_grid =
@@ -250,8 +255,6 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
 
-  const std::string out =
-      cli.get("out", util::bench_results_dir().value_or(".") + "/micro_frontier.csv");
   util::CsvWriter csv{out};
   csv.row({"dataset", "class", "workload", "steps", "nodes", "edges", "rows_ratio",
            "switch_step", "dense_seconds", "frontier_seconds", "speedup"});
@@ -311,8 +314,6 @@ int main(int argc, char** argv) {
             << util::fmt_fixed(auto_seconds, 3) << "s, speedup "
             << util::fmt_fixed(e2e_speedup, 2) << "x, results identical\n";
 
-  const std::string e2e_out =
-      cli.get("e2e-out", util::bench_results_dir().value_or(".") + "/e2e_frontier.csv");
   util::CsvWriter e2e{e2e_out};
   e2e.row({"experiment", "dataset", "nodes", "edges", "dense_seconds",
            "frontier_seconds", "speedup", "results_identical"});

@@ -123,6 +123,9 @@ int main(int argc, char** argv) {
   // per entry for the regression gate's median to be robust.
   const auto rounds = static_cast<std::size_t>(
       cli.get_i64("rounds", static_cast<std::int64_t>(bench::Harness::process_repeats(5))));
+  const std::string out =
+      cli.get("out", util::bench_results_dir().value_or(".") + "/micro_reorder.csv");
+  cli.reject_unknown();
   bench::Harness::process().set_flag("quick", quick ? "true" : "false");
   bench::Harness::process().set_flag("steps", std::to_string(steps));
   bench::Harness::process().set_flag("rounds", std::to_string(rounds));
@@ -192,8 +195,6 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
 
-  const std::string out =
-      cli.get("out", util::bench_results_dir().value_or(".") + "/micro_reorder.csv");
   util::CsvWriter csv{out};
   csv.row({"dataset", "labeling", "mode", "kernel", "nodes", "edges", "bandwidth",
            "avg_neighbor_distance", "min_seconds", "speedup_vs_none"});

@@ -256,6 +256,9 @@ int main(int argc, char** argv) {
   const auto rounds = static_cast<std::size_t>(
       cli.get_i64("rounds", static_cast<std::int64_t>(bench::Harness::process_repeats(5))));
   const auto cold_steps = static_cast<std::size_t>(cli.get_i64("cold-steps", 1));
+  const std::string out =
+      cli.get("out", util::bench_results_dir().value_or(".") + "/micro_shard.csv");
+  cli.reject_unknown();
   bench::Harness::process().set_flag("quick", quick ? "true" : "false");
   bench::Harness::process().set_flag("rounds", std::to_string(rounds));
   bench::Harness::process().set_flag("steps", std::to_string(steps));
@@ -374,8 +377,6 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
 
-  const std::string out =
-      cli.get("out", util::bench_results_dir().value_or(".") + "/micro_shard.csv");
   util::CsvWriter csv{out};
   csv.row({"dataset", "class", "variant", "shards", "mapped", "nodes", "edges",
            "boundary_fraction", "base_seconds", "shard_seconds", "ratio",

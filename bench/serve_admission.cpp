@@ -73,6 +73,11 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(cli.get_i64("batches", quick ? 6 : 24));
   const auto verifier_count =
       static_cast<std::size_t>(cli.get_i64("verifiers", 4));
+  const bool has_nodes = cli.has("nodes");
+  const auto nodes_option = static_cast<graph::NodeId>(cli.get_i64("nodes", 0));
+  const std::string out =
+      cli.get("out", util::bench_results_dir().value_or(".") + "/serve_admission.csv");
+  cli.reject_unknown();
   bench::Harness::process().set_flag("rounds", std::to_string(rounds));
   bench::Harness::process().set_flag("batches", std::to_string(batches));
 
@@ -91,9 +96,9 @@ int main(int argc, char** argv) {
   std::vector<std::vector<std::string>> csv_rows;
 
   for (const gen::DatasetSpec& spec : picks) {
-    const auto nodes = static_cast<graph::NodeId>(cli.get_i64(
-        "nodes", quick ? std::min<graph::NodeId>(4'000, spec.default_nodes)
-                       : std::min<graph::NodeId>(20'000, spec.default_nodes)));
+    const graph::NodeId nodes =
+        has_nodes ? nodes_option
+                  : std::min<graph::NodeId>(quick ? 4'000 : 20'000, spec.default_nodes);
     const graph::Graph g = gen::build_dataset(spec, nodes, kSeed);
     const std::string prefix = "serve/" + util::slugify(spec.name);
     std::fprintf(stderr, "%s (%s): n=%u m=%llu\n", spec.name.c_str(),
@@ -168,8 +173,6 @@ int main(int argc, char** argv) {
   }
 
   table.print(std::cout);
-  const std::string out =
-      cli.get("out", util::bench_results_dir().value_or(".") + "/serve_admission.csv");
   util::CsvWriter csv{out};
   csv.row({"dataset", "class", "n", "m", "r", "queries_per_round", "qps", "p50_ms",
            "p99_ms"});

@@ -28,6 +28,8 @@ int main(int argc, char** argv) {
   bench::Harness::configure_process(cli);
   auto config = core::ExperimentConfig::from_cli(cli);
   if (!cli.has("scale")) config.scale = 0.5;
+  const bool sampled = cli.get_flag("sampled");
+  cli.reject_unknown();
 
   std::cout << "Table 1: datasets, their properties and their second largest\n"
                "eigenvalues of the transition matrix (synthetic stand-ins)\n";
@@ -43,7 +45,7 @@ int main(int argc, char** argv) {
     const auto g = core::build_scaled_dataset(spec, config);
 
     core::MeasurementOptions options;
-    options.sampled = cli.get_flag("sampled");
+    options.sampled = sampled;
     options.sources = 1000;
     options.max_steps = 200;
     options.seed = config.seed;

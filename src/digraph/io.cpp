@@ -6,7 +6,7 @@
 #include <stdexcept>
 #include <unordered_map>
 
-#include "util/string_util.hpp"
+#include "graph/io.hpp"
 
 namespace socmix::digraph {
 
@@ -19,31 +19,27 @@ DirectedLoadResult load_directed_edge_list(std::istream& in) {
     return it->second;
   };
 
-  std::string line;
-  while (std::getline(in, line)) {
-    ++result.lines_read;
-    const std::string_view trimmed = util::trim(line);
-    if (trimmed.empty() || trimmed.front() == '#' || trimmed.front() == '%') continue;
-    const auto fields = util::split_ws(trimmed);
-    if (fields.size() < 2) {
+  graph::EdgeListReader reader{in};
+  for (auto line = reader.next(); line != graph::EdgeListReader::Line::kEnd;
+       line = reader.next()) {
+    if (line == graph::EdgeListReader::Line::kTooFewFields) {
       throw std::runtime_error{"load_directed_edge_list: malformed line " +
-                               std::to_string(result.lines_read)};
+                               std::to_string(reader.lines_read())};
     }
-    const auto u = util::parse_i64(fields[0]);
-    const auto v = util::parse_i64(fields[1]);
-    if (!u || !v || *u < 0 || *v < 0) {
+    if (line == graph::EdgeListReader::Line::kBadId) {
       throw std::runtime_error{"load_directed_edge_list: bad vertex id at line " +
-                               std::to_string(result.lines_read)};
+                               std::to_string(reader.lines_read())};
     }
     ++result.arcs_parsed;
-    const NodeId from = densify(static_cast<std::uint64_t>(*u));
-    const NodeId to = densify(static_cast<std::uint64_t>(*v));
+    const NodeId from = densify(reader.u());
+    const NodeId to = densify(reader.v());
     if (from == to) {
       ++result.self_loops_dropped;
       continue;
     }
     arcs.push_back(Arc{from, to});
   }
+  result.lines_read = reader.lines_read();
 
   const std::size_t before = arcs.size();
   result.graph = DiGraph::from_arcs(std::move(arcs), static_cast<NodeId>(remap.size()));

@@ -41,8 +41,16 @@ class Graph {
   }
 
   /// Builds from an edge list. The list is cleaned (self-loops removed,
-  /// symmetrized, deduplicated) as the paper's preprocessing prescribes.
+  /// symmetrized, deduplicated) as the paper's preprocessing prescribes,
+  /// by a counting build: no sort, peak two arrays of 2m ids.
   [[nodiscard]] static Graph from_edges(EdgeList edges);
+
+  /// Builds from per-row adjacency whose rows may be out of order and may
+  /// repeat a neighbor: sorts the rows that need it and drops the repeats
+  /// in place. Rows must otherwise uphold the class invariants (symmetric,
+  /// no self-loops). `offsets` has n+1 entries, the last neighbors.size().
+  [[nodiscard]] static Graph from_rows(std::vector<EdgeIndex> offsets,
+                                       std::vector<NodeId> neighbors);
 
   /// Builds from an already-clean sorted CSR (used by subgraph extraction;
   /// callers must uphold the class invariants).

@@ -1,8 +1,12 @@
 #include "graph/io.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <istream>
+#include <memory>
 #include <ostream>
 #include <stdexcept>
 #include <string>
@@ -10,7 +14,6 @@
 
 #include "obs/obs.hpp"
 #include "resilience/fault.hpp"
-#include "util/string_util.hpp"
 
 namespace socmix::graph {
 
@@ -34,7 +37,77 @@ void write_u64(std::ostream& out, std::uint64_t v) {
   return v;
 }
 
+[[nodiscard]] constexpr bool is_space(char c) noexcept {
+  return c == ' ' || (c >= '\t' && c <= '\r');  // \t \n \v \f \r
+}
+
+[[nodiscard]] const char* skip_space(const char* p, const char* end) noexcept {
+  while (p != end && is_space(*p)) ++p;
+  return p;
+}
+
+/// Parses the field at p as a vertex id and moves p past it. True iff the
+/// whole field is an int64 >= 0: util::parse_i64's rule plus a sign check.
+bool parse_id(const char*& p, const char* end, std::uint64_t& id) noexcept {
+  const char* const first = p;
+  while (p != end && !is_space(*p)) ++p;
+  std::int64_t parsed = 0;
+  const auto [stop, ec] = std::from_chars(first, p, parsed);
+  id = static_cast<std::uint64_t>(parsed);
+  return ec == std::errc{} && stop == p && parsed >= 0;
+}
+
 }  // namespace
+
+EdgeListReader::EdgeListReader(std::istream& in)
+    : in_(in), buffer_(std::make_unique_for_overwrite<char[]>(kChunkBytes)) {}
+
+EdgeListReader::Line EdgeListReader::next() {
+  while (next_line()) {
+    const char* const end = line_.data() + line_.size();
+    const char* p = skip_space(line_.data(), end);
+    if (p == end || *p == '#' || *p == '%') continue;
+    const bool u_ok = parse_id(p, end, u_);
+    p = skip_space(p, end);
+    if (p == end) return Line::kTooFewFields;
+    return parse_id(p, end, v_) && u_ok ? Line::kEdge : Line::kBadId;
+  }
+  return Line::kEnd;
+}
+
+bool EdgeListReader::next_line() {
+  std::size_t scanned = begin_;  // [begin_, scanned) holds no '\n'
+  for (;;) {
+    char* const base = buffer_.get();
+    const auto* newline =
+        static_cast<const char*>(std::memchr(base + scanned, '\n', end_ - scanned));
+    if (newline != nullptr || (exhausted_ && begin_ < end_)) {
+      const auto stop = newline != nullptr ? static_cast<std::size_t>(newline - base) : end_;
+      line_ = {base + begin_, stop - begin_};
+      begin_ = std::min(stop + 1, end_);
+      ++lines_read_;
+      return true;
+    }
+    if (exhausted_) return false;
+    // Carry the partial line to the front and read the next chunk behind
+    // it, doubling the buffer when the partial line already fills it.
+    const std::size_t carried = end_ - begin_;
+    if (carried == capacity_) {
+      auto grown = std::make_unique_for_overwrite<char[]>(2 * capacity_);
+      std::memcpy(grown.get(), base, carried);
+      buffer_ = std::move(grown);
+      capacity_ *= 2;
+    } else {
+      std::memmove(base, base + begin_, carried);
+    }
+    begin_ = 0;
+    end_ = carried;
+    scanned = carried;
+    in_.read(buffer_.get() + end_, static_cast<std::streamsize>(capacity_ - end_));
+    end_ += static_cast<std::size_t>(in_.gcount());
+    if (!in_) exhausted_ = true;
+  }
+}
 
 LoadResult load_edge_list(std::istream& in, const EdgeListOptions& options) {
   LoadResult result;
@@ -62,22 +135,16 @@ LoadResult load_edge_list(std::istream& in, const EdgeListOptions& options) {
     return false;
   };
 
-  std::string line;
-  while (std::getline(in, line)) {
-    ++result.lines_read;
-    const std::string_view trimmed = util::trim(line);
-    if (trimmed.empty() || trimmed.front() == '#' || trimmed.front() == '%') continue;
-    const auto fields = util::split_ws(trimmed);
-    if (fields.size() < 2) {
-      reject("load_edge_list: malformed line " + std::to_string(result.lines_read) +
-             ": '" + line + "'");
+  EdgeListReader reader{in};
+  for (auto line = reader.next(); line != EdgeListReader::Line::kEnd; line = reader.next()) {
+    if (line == EdgeListReader::Line::kTooFewFields) {
+      reject("load_edge_list: malformed line " + std::to_string(reader.lines_read()) +
+             ": '" + std::string{reader.line()} + "'");
       continue;
     }
-    const auto u = util::parse_i64(fields[0]);
-    const auto v = util::parse_i64(fields[1]);
-    if (!u || !v || *u < 0 || *v < 0) {
+    if (line == EdgeListReader::Line::kBadId) {
       reject("load_edge_list: non-integer vertex id at line " +
-             std::to_string(result.lines_read));
+             std::to_string(reader.lines_read()));
       continue;
     }
     ++result.edges_parsed;
@@ -87,10 +154,15 @@ LoadResult load_edge_list(std::istream& in, const EdgeListOptions& options) {
     // arguments right to left). Every other producer of this labeling —
     // graph_pack's streaming loader in particular — assigns u before v,
     // and the out-of-core TVD parity checks compare the two bytewise.
-    const NodeId du = densify(static_cast<std::uint64_t>(*u));
-    const NodeId dv = densify(static_cast<std::uint64_t>(*v));
+    const NodeId du = densify(reader.u());
+    const NodeId dv = densify(reader.v());
+    if (du == dv) {
+      ++result.self_loops_dropped;  // the id stays claimed: an isolated vertex
+      continue;
+    }
     edges.add(du, dv);
   }
+  result.lines_read = reader.lines_read();
   if (result.malformed_lines > 0) {
     SOCMIX_COUNTER_ADD("graph.io.malformed_lines", result.malformed_lines);
   }
@@ -100,11 +172,10 @@ LoadResult load_edge_list(std::istream& in, const EdgeListOptions& options) {
                              std::to_string(result.malformed_lines) + " malformed lines)"};
   }
 
-  const std::size_t raw_edges = edges.size();
-  result.self_loops_dropped = edges.count_self_loops();
+  const std::size_t kept_edges = edges.size();
+  edges.ensure_nodes(static_cast<NodeId>(remap.size()));
   result.graph = Graph::from_edges(std::move(edges));
-  result.duplicates_dropped =
-      raw_edges - result.self_loops_dropped - static_cast<std::size_t>(result.graph.num_edges());
+  result.duplicates_dropped = kept_edges - static_cast<std::size_t>(result.graph.num_edges());
   return result;
 }
 

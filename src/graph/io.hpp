@@ -6,12 +6,64 @@
 // which are densified to [0, n).
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
+#include <memory>
 #include <string>
+#include <string_view>
 
 #include "graph/graph.hpp"
 
 namespace socmix::graph {
+
+/// The one tokenizer of "u v" edge-list text: load_edge_list,
+/// digraph::load_directed_edge_list and graph_pack's streaming packer all
+/// pull their lines from it. It reads the stream in kChunkBytes chunks and
+/// carries a partial line across chunk boundaries (growing the buffer for
+/// a longer line); no per-line allocation.
+///
+/// A line ends at '\n' (the last may lack it); whitespace is " \t\r\n\v\f".
+/// Blank lines and lines whose first non-blank byte is '#' or '%' are
+/// skipped. Any other line needs two or more fields, the first two decimal
+/// int64 values >= 0 ("-0" is 0, "+1" is not); later fields are ignored.
+class EdgeListReader {
+ public:
+  static constexpr std::size_t kChunkBytes = std::size_t{1} << 20;
+
+  enum class Line : std::uint8_t { kEdge, kTooFewFields, kBadId, kEnd };
+
+  explicit EdgeListReader(std::istream& in);
+
+  /// Skips blank and comment lines and classifies the next line; kEnd at
+  /// the end of the input.
+  [[nodiscard]] Line next();
+
+  /// The ids of the last kEdge line.
+  [[nodiscard]] std::uint64_t u() const noexcept { return u_; }
+  [[nodiscard]] std::uint64_t v() const noexcept { return v_; }
+
+  /// Lines consumed, blank and comment lines included: the 1-based number
+  /// of the line next() stopped at, and the line count after kEnd.
+  [[nodiscard]] std::size_t lines_read() const noexcept { return lines_read_; }
+
+  /// The line next() stopped at, without its '\n'; valid until next().
+  [[nodiscard]] std::string_view line() const noexcept { return line_; }
+
+ private:
+  /// Points line_ at the next line; false at the end of the input.
+  bool next_line();
+
+  std::istream& in_;
+  std::unique_ptr<char[]> buffer_;  // uninitialized: a small input touches one page
+  std::size_t capacity_ = kChunkBytes;
+  std::size_t begin_ = 0;  // first unconsumed byte in buffer_
+  std::size_t end_ = 0;    // one past the last byte read into buffer_
+  bool exhausted_ = false;
+  std::size_t lines_read_ = 0;
+  std::string_view line_;
+  std::uint64_t u_ = 0;
+  std::uint64_t v_ = 0;
+};
 
 /// Result of parsing a text edge list: the clean graph plus parse stats.
 struct LoadResult {

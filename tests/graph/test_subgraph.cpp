@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "gen/reference.hpp"
 
 namespace socmix::graph {
@@ -57,6 +60,27 @@ TEST(InducedSubgraph, NeighborListsStaySorted) {
   for (NodeId v = 0; v < sub.graph.num_nodes(); ++v) {
     const auto adj = sub.graph.neighbors(v);
     EXPECT_TRUE(std::is_sorted(adj.begin(), adj.end()));
+  }
+}
+
+// The row sort is skipped only for ascending members (a monotone relabel);
+// any other order still gets rows that are sorted and match the relabeled
+// adjacency exactly.
+TEST(InducedSubgraph, UnsortedMembersStillGiveSortedRows) {
+  const Graph g = gen::circulant(12, 4);  // each v joined to v±1, v±2
+  const std::vector<NodeId> shuffled{7, 2, 11, 0, 5, 9, 1, 6, 10, 3};
+  std::vector<NodeId> ascending = shuffled;
+  std::sort(ascending.begin(), ascending.end());
+  for (const auto& members : {shuffled, ascending}) {
+    const auto sub = induced_subgraph(g, members);
+    for (NodeId v = 0; v < sub.graph.num_nodes(); ++v) {
+      std::vector<NodeId> expected;
+      for (NodeId w = 0; w < sub.graph.num_nodes(); ++w) {
+        if (g.has_edge(members[v], members[w])) expected.push_back(w);
+      }
+      const auto adj = sub.graph.neighbors(v);
+      EXPECT_EQ(std::vector<NodeId>(adj.begin(), adj.end()), expected) << "row " << v;
+    }
   }
 }
 

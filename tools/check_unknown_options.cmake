@@ -1,14 +1,16 @@
-# Proves that the command-line tools refuse options they do not know
-# before doing any work: a removed flag (--reorder and --sharded on
-# `socmix measure`, whose ordering and shard geometry are now chosen by
-# graph_pack) or a misspelled one exits non-zero with a message naming it,
-# prints no measurement, and writes no pack.
+# Proves that the command-line tools and the bench drivers refuse options
+# they do not know before doing any work: a removed flag (--reorder and
+# --sharded on `socmix measure` or a driver, whose ordering and shard
+# geometry are now chosen by graph_pack) or a misspelled one exits non-zero
+# with a message naming it, prints no measurement, and writes no pack.
 #
 # Driven by the cli_unknown_options_e2e ctest (see tools/CMakeLists.txt):
-#   cmake -DSOCMIX_BIN=<socmix> -DGRAPH_PACK_BIN=<graph_pack> -DOUT_DIR=<dir>
+#   cmake -DSOCMIX_BIN=<socmix> -DGRAPH_PACK_BIN=<graph_pack>
+#         -DFIGURE_BIN=<table1_datasets> -DMICRO_BIN=<micro_shard> -DOUT_DIR=<dir>
 #         -P check_unknown_options.cmake
-if(NOT DEFINED SOCMIX_BIN OR NOT DEFINED GRAPH_PACK_BIN OR NOT DEFINED OUT_DIR)
-  message(FATAL_ERROR "usage: cmake -DSOCMIX_BIN=<socmix> -DGRAPH_PACK_BIN=<graph_pack> -DOUT_DIR=<dir> -P check_unknown_options.cmake")
+if(NOT DEFINED SOCMIX_BIN OR NOT DEFINED GRAPH_PACK_BIN OR NOT DEFINED FIGURE_BIN
+   OR NOT DEFINED MICRO_BIN OR NOT DEFINED OUT_DIR)
+  message(FATAL_ERROR "usage: cmake -DSOCMIX_BIN=<socmix> -DGRAPH_PACK_BIN=<graph_pack> -DFIGURE_BIN=<driver> -DMICRO_BIN=<driver> -DOUT_DIR=<dir> -P check_unknown_options.cmake")
 endif()
 
 file(REMOVE_RECURSE "${OUT_DIR}")
@@ -37,6 +39,13 @@ expect_rejected(reorder ${measure} --reorder bfs)
 expect_rejected(sharded ${measure} --sharded 4)
 expect_rejected(reorder "${SOCMIX_BIN}" sybil --dataset "Physics 1" --nodes 300
                 --reorder rcm)
+
+# The bench drivers: one figure driver (options read through
+# ExperimentConfig::from_cli) and one micro driver (its own reads after
+# bench::Harness::configure_process).
+expect_rejected(reorder "${FIGURE_BIN}" --scale 0.002 --sources 2 --steps 3
+                --reorder bfs)
+expect_rejected(sharded "${MICRO_BIN}" --quick --sharded 4)
 
 set(pack "${GRAPH_PACK_BIN}" --dataset "Physics 1" --nodes 300
     --out "${OUT_DIR}/physics.smxg")

@@ -31,7 +31,6 @@
 // --verify maps an existing container (full CRC + structural validation)
 // and reports its geometry plus every section's stored CRC-32; exit 1 on
 // any defect.
-#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <stdexcept>
@@ -93,10 +92,10 @@ int cmd_verify(const std::string& path) {
   return 0;
 }
 
-/// Streaming text -> CSR conversion: two passes over the file with one
-/// reused line buffer, no materialized edge list. Produces the exact graph
-/// load_edge_list_file would (same first-appearance id densification, self
-/// loops dropped, duplicates deduped, rows sorted) at a fraction of the
+/// Streaming text -> CSR conversion: two passes over the file through
+/// graph::EdgeListReader, no materialized edge list. Produces the exact
+/// graph load_edge_list_file would (same first-appearance id densification,
+/// self loops dropped, duplicates deduped, rows sorted) at a fraction of the
 /// peak memory — the duplicate-inflated CSR plus the id remap.
 graph::Graph load_edges_streaming(const std::string& path) {
   std::unordered_map<std::uint64_t, graph::NodeId> remap;
@@ -108,33 +107,26 @@ graph::Graph load_edges_streaming(const std::string& path) {
     return it->second;
   };
 
-  // Strict parse, same acceptance as load_edge_list: '#'/'%' comments,
-  // whitespace-separated non-negative integer pairs. `emit` is invoked
-  // once per parsed edge (self loops included — they still claim dense
-  // ids, matching load_edge_list's first-appearance order exactly); both
-  // passes share the parse so they cannot disagree on which lines count.
+  // Strict parse: `emit` is invoked once per edge line (self loops
+  // included — they still claim dense ids, matching load_edge_list's
+  // first-appearance order exactly); both passes share the parse so they
+  // cannot disagree on which lines count.
   const auto parse = [&](auto&& emit) {
     std::ifstream in{path};
     if (!in) throw std::runtime_error{"graph_pack: cannot open " + path};
-    std::string line;
-    std::size_t line_no = 0;
-    while (std::getline(in, line)) {
-      ++line_no;
-      const std::string_view trimmed = util::trim(line);
-      if (trimmed.empty() || trimmed.front() == '#' || trimmed.front() == '%') continue;
-      const auto fields = util::split_ws(trimmed);
-      const auto u = fields.size() >= 2 ? util::parse_i64(fields[0]) : std::nullopt;
-      const auto v = fields.size() >= 2 ? util::parse_i64(fields[1]) : std::nullopt;
-      if (!u || !v || *u < 0 || *v < 0) {
+    graph::EdgeListReader reader{in};
+    for (auto line = reader.next(); line != graph::EdgeListReader::Line::kEnd;
+         line = reader.next()) {
+      if (line != graph::EdgeListReader::Line::kEdge) {
         throw std::runtime_error{"graph_pack: malformed line " +
-                                 std::to_string(line_no) + " in " + path};
+                                 std::to_string(reader.lines_read()) + " in " + path};
       }
-      emit(static_cast<std::uint64_t>(*u), static_cast<std::uint64_t>(*v));
+      emit(reader.u(), reader.v());
     }
   };
 
   // Pass 1: id remap + duplicate-inflated degrees (each text edge counts
-  // both directions; dedup happens after the rows are sorted).
+  // both directions; Graph::from_rows dedups once the rows are sorted).
   parse([&](std::uint64_t u, std::uint64_t v) {
     const graph::NodeId du = densify(u);
     const graph::NodeId dv = densify(v);
@@ -162,29 +154,7 @@ graph::Graph load_edges_streaming(const std::string& path) {
   remap.clear();
   cursor.clear();
   cursor.shrink_to_fit();
-
-  // Sort each row and compact away duplicate edges in place, rebuilding
-  // the offsets as the write cursor advances.
-  graph::EdgeIndex write = 0;
-  graph::EdgeIndex row_begin = 0;
-  for (graph::NodeId v = 0; v < n; ++v) {
-    const auto lo = static_cast<std::ptrdiff_t>(row_begin);
-    const auto hi = static_cast<std::ptrdiff_t>(offsets[v + 1]);
-    row_begin = offsets[v + 1];
-    std::sort(neighbors.begin() + lo, neighbors.begin() + hi);
-    const auto last = std::unique(neighbors.begin() + lo, neighbors.begin() + hi);
-    const auto count = static_cast<graph::EdgeIndex>(last - (neighbors.begin() + lo));
-    std::copy(neighbors.begin() + lo, last,
-              neighbors.begin() + static_cast<std::ptrdiff_t>(write));
-    offsets[v] = write;
-    write += count;
-  }
-  // offsets[0..n-1] now hold the compacted row starts (row 0 starts at 0);
-  // cap with the final write cursor.
-  offsets[n] = write;
-  neighbors.resize(write);
-  neighbors.shrink_to_fit();
-  return graph::Graph::from_csr(std::move(offsets), std::move(neighbors));
+  return graph::Graph::from_rows(std::move(offsets), std::move(neighbors));
 }
 
 int run(const util::Cli& cli) {

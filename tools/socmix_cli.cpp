@@ -230,11 +230,19 @@ int cmd_measure(const util::Cli& cli, const resilience::CheckpointOptions& check
   const double eps = cli.get_f64("eps", markov::kHeadlineEpsilon);
   const std::string tvd_out = cli.get("tvd-out", "");
   cli.reject_unknown();
+  if (!tvd_out.empty() && options.sources == 0) {
+    std::fputs("socmix measure: --tvd-out needs sampled trajectories; --sources 0 runs none\n",
+               stderr);
+    return 2;
+  }
 
   const ComponentInput input = load_component_input(spec);
   options.mapped = input.mapped_ptr();
   const auto report = core::measure_mixing(input.graph(), input.name, options);
-  if (!tvd_out.empty()) write_tvd(*report.sampled, tvd_out);
+  if (!tvd_out.empty()) {
+    if (!report.sampled) throw std::runtime_error{"--tvd-out: no sampled trajectories to write"};
+    write_tvd(*report.sampled, tvd_out);
+  }
   std::printf("%s\n", core::summarize(report).c_str());
   if (report.spectral_ran) {
     std::printf("T(%.3g) bounds: %.1f .. %.1f steps\n", eps, report.lower_bound(eps),
